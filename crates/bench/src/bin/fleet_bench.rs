@@ -18,15 +18,13 @@
 //!
 //! Run with `cargo run -p socrates-bench --bin fleet_bench --release`.
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::{Metric, Rank};
 use platform_sim::KnobConfig;
 use polybench::App;
 use serde::Serialize;
-use socrates::{EnhancedApp, ExecutionEngine, Fleet, FleetConfig, Toolchain, TraceSample};
+use socrates::{
+    EnhancedApp, ExecutionEngine, Fleet, FleetConfig, FleetRuntime, Toolchain, TraceSample,
+};
 use std::time::Instant;
 
 const DRIFT_FACTOR: f64 = 1.6;
@@ -102,7 +100,7 @@ fn scaling_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
         .expect("valid fleet config");
         fleet.spawn(enhanced, &Rank::throughput_per_watt2(), 2018, n);
         let wall = Instant::now();
-        fleet.run_for(60.0);
+        fleet.run_until(60.0);
         let host_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
         let total: usize = (0..n).map(|id| fleet.trace(id).len()).sum();
         let stats = fleet.stats();
@@ -164,7 +162,7 @@ fn convergence_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
         .expect("valid fleet config");
         let base = drifted.machine(7);
         fleet.spawn_on(enhanced, &Rank::throughput_per_watt2(), &base, INSTANCES);
-        fleet.run_for(HORIZON_S);
+        fleet.run_until(HORIZON_S);
 
         let traces: Vec<Vec<TraceSample>> = (0..INSTANCES).map(|id| fleet.trace(id)).collect();
         let window_start = HORIZON_S - FINAL_WINDOW_S;
@@ -257,7 +255,7 @@ fn arbiter_study(enhanced: &EnhancedApp) {
     let base = drifted.machine(7);
     fleet.spawn_on(enhanced, &Rank::minimize(Metric::exec_time()), &base, 8);
     fleet.set_power_budget(Some(budget));
-    fleet.run_for(60.0);
+    fleet.run_until(60.0);
     let before: f64 = mean_tail_power(&fleet, 0..8, 30.0);
     // Half the fleet leaves: the survivors' slice doubles. Only the
     // survivors' traces enter the "after" mean — the retired
@@ -265,7 +263,7 @@ fn arbiter_study(enhanced: &EnhancedApp) {
     for id in 0..4 {
         fleet.retire_instance(id);
     }
-    fleet.run_for(60.0);
+    fleet.run_until(120.0);
     let after: f64 = mean_tail_power(&fleet, 4..8, 30.0);
     println!(
         "mean per-instance power, last 30 s: {before:.1} W with 8 instances \

@@ -48,14 +48,10 @@
 //! --release` (`--smoke --check` is the CI regression-gate
 //! configuration).
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::Rank;
 use polybench::App;
 use serde::{Deserialize, Serialize};
-use socrates::{ExecutionEngine, Fleet, FleetConfig};
+use socrates::{ExecutionEngine, Fleet, FleetConfig, FleetRuntime};
 use std::time::Instant;
 
 /// Design-knowledge subsample handed to every instance.
@@ -157,11 +153,14 @@ fn main() {
             // first-round configurations (milliseconds on the AST
             // engine) would otherwise dominate small-N cells and make
             // the gate noisy.
-            fleet.step_round();
+            fleet.run_events(1);
             let wall = Instant::now();
             let mut total_steps = 0;
             for _ in 0..ROUNDS {
-                total_steps += fleet.step_round();
+                fleet.run_events(1);
+                // Every active instance stepped; a step that panicked
+                // deactivated its instance.
+                total_steps += fleet.active_count();
             }
             let wall_s = wall.elapsed().as_secs_f64();
             let stats = fleet.stats();

@@ -44,17 +44,13 @@
 //! Run with `cargo run -p socrates-bench --bin warm_start_bench
 //! --release` (`--smoke --check` is the CI configuration).
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::{Knowledge, Rank};
 use platform_sim::KnobConfig;
 use polybench::{App, Dataset};
 use serde::{Deserialize, Serialize};
 use socrates::{
     cosine_distance, ArtifactStore, DistributedFleet, EnhancedApp, ExecutionEngine, Fleet,
-    FleetConfig, KnowledgeSnapshot, SnapshotFingerprint, Toolchain, TraceSample,
+    FleetConfig, FleetRuntime, KnowledgeSnapshot, SnapshotFingerprint, Toolchain, TraceSample,
 };
 
 /// Deployment drift: per-core dynamic power × 1.6 (idle floor
@@ -174,7 +170,7 @@ fn main() {
     // The cold in-process run *is* the cold cell; the snapshot it cuts
     // after converging is the warm-same-app seed.
     let mut cold_fleet = in_process(&target, &drifted, engine, None, instances);
-    cold_fleet.run_for(horizon_s);
+    cold_fleet.run_until(horizon_s);
     let cold_traces: Vec<Vec<TraceSample>> =
         (0..instances).map(|id| cold_fleet.trace(id)).collect();
     let same_app_seed = cold_fleet
@@ -212,7 +208,7 @@ fn main() {
     );
     let donor_drifted = donor.platform.hotter(DRIFT_FACTOR);
     let mut donor_fleet = in_process(donor, &donor_drifted, engine, None, instances);
-    donor_fleet.run_for(horizon_s);
+    donor_fleet.run_until(horizon_s);
     let donor_snapshot = donor_fleet
         .knowledge_snapshot(nn_app, SnapshotFingerprint::of(&toolchain, nn_app))
         .expect("donor pool exists");
@@ -254,13 +250,13 @@ fn main() {
                 ("cold", "in-process") => cold_traces.clone(),
                 (_, "in-process") => {
                     let mut fleet = in_process(&target, &drifted, engine, seed.cloned(), instances);
-                    fleet.run_for(horizon_s);
+                    fleet.run_until(horizon_s);
                     (0..instances).map(|id| fleet.trace(id)).collect()
                 }
                 _ => {
                     let mut fleet = distributed(&target, engine, seed.cloned(), instances);
                     fleet.spawn_on(&rank, &drifted.machine(7), instances);
-                    fleet.run_for(horizon_s);
+                    fleet.run_until(horizon_s);
                     (0..instances).map(|id| fleet.trace(id)).collect()
                 }
             };

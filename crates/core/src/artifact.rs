@@ -16,9 +16,9 @@
 //!
 //! All methods take `&self` and are safe to call from many threads at
 //! once (this is what lets [`crate::Toolchain::enhance_all`] fan
-//! targets out over rayon). Values are deterministic functions of the
-//! key, so concurrent computation of the same key is harmless: the
-//! first insert wins and every caller observes identical data.
+//! targets out over rayon). Each artifact is built once even under
+//! concurrent requests for its key: the first requester builds, the
+//! others wait for that build and share its value.
 
 use crate::engine::CompiledKernel;
 use crate::error::SocratesError;
@@ -34,7 +34,7 @@ use polybench::{App, Dataset};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Stage 1 artifact: the parsed original application.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,15 +193,15 @@ pub struct ArtifactStore {
     /// Memoised `(config, fingerprint)` of the last toolchain seen, so
     /// hot-path lookups don't re-serialise the config per call.
     fingerprint: Mutex<Option<(Toolchain, u64)>>,
-    parsed: Mutex<HashMap<ArtifactKey, Arc<ParsedSource>>>,
-    features: Mutex<HashMap<ArtifactKey, Arc<KernelFeatures>>>,
-    corpus: Mutex<HashMap<ArtifactKey, Arc<TrainingApp>>>,
-    models: Mutex<HashMap<ArtifactKey, Arc<Cobayn>>>,
-    predictions: Mutex<HashMap<ArtifactKey, Arc<FlagPredictions>>>,
-    weaved: Mutex<HashMap<ArtifactKey, Arc<WeavedProgram>>>,
-    knowledge: Mutex<HashMap<ArtifactKey, Arc<ProfiledKnowledge>>>,
-    kernels: Mutex<HashMap<(ArtifactKey, u32), Arc<CompiledKernel>>>,
-    analyses: Mutex<HashMap<(ArtifactKey, u32), Arc<minivm::AnalysisReport>>>,
+    parsed: Slots<ArtifactKey, ParsedSource>,
+    features: Slots<ArtifactKey, KernelFeatures>,
+    corpus: Slots<ArtifactKey, TrainingApp>,
+    models: Slots<ArtifactKey, Cobayn>,
+    predictions: Slots<ArtifactKey, FlagPredictions>,
+    weaved: Slots<ArtifactKey, WeavedProgram>,
+    knowledge: Slots<ArtifactKey, ProfiledKnowledge>,
+    kernels: Slots<(ArtifactKey, u32), CompiledKernel>,
+    analyses: Slots<(ArtifactKey, u32), minivm::AnalysisReport>,
     counters: Counters,
 }
 
@@ -499,76 +499,59 @@ impl ArtifactStore {
         app: App,
     ) -> Result<Arc<ProfiledKnowledge>, SocratesError> {
         let key = self.key(toolchain, app);
-        if let Some(hit) = self
-            .knowledge
-            .lock()
-            .expect("knowledge map poisoned")
-            .get(&key)
-        {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(hit));
-        }
-        let profile = app.profile(toolchain.dataset);
-        let value = match self.load_persisted(toolchain, app, key.config) {
-            Some(knowledge) => {
+        single_flight(&self.knowledge, &self.counters.hits, key, || {
+            let profile = app.profile(toolchain.dataset);
+            if let Some(knowledge) = self.load_persisted(toolchain, app, key.config) {
                 self.counters
                     .knowledge_loads
                     .fetch_add(1, Ordering::Relaxed);
-                ProfiledKnowledge {
+                return Ok(ProfiledKnowledge {
                     app,
                     knowledge,
                     profile,
-                }
+                });
             }
-            None => {
-                let predictions = self.flag_predictions(toolchain, app)?;
-                let space = dse::DesignSpace::socrates(
-                    predictions.flags.clone(),
-                    &toolchain.platform.topology,
-                );
-                let machine = toolchain.platform.machine(toolchain.seed ^ fnv(app.name()));
-                // Each profiled configuration also runs functionally on
-                // the toolchain's execution engine: the kernel is
-                // lowered once per distinct thread count (cached) and
-                // an unbound pragma parameter surfaces here as a
-                // lowering error, not deep inside a fleet run. The
-                // executor only touches the kernel cache, so the
-                // analytic knowledge stays bit-identical to a plain
-                // `dse::profile` sweep.
-                let kernel_err: Mutex<Option<SocratesError>> = Mutex::new(None);
-                let knowledge = dse::profile_with_executor(
-                    &machine,
-                    &profile,
-                    &space.full_factorial(),
-                    toolchain.dse_repetitions,
-                    &|cfg: &KnobConfig| {
-                        if let Err(e) = self.compiled_kernel(toolchain, app, cfg.tn) {
-                            kernel_err
-                                .lock()
-                                .expect("kernel error slot poisoned")
-                                .get_or_insert(e);
-                        }
-                    },
-                );
-                if let Some(e) = kernel_err.into_inner().expect("kernel error slot poisoned") {
-                    return Err(e);
-                }
-                self.counters.knowledge.fetch_add(1, Ordering::Relaxed);
-                // Persistence is best-effort, symmetric with loading:
-                // an unwritable cache directory must not discard a
-                // successfully profiled result.
-                self.save_persisted(toolchain, app, key.config, &knowledge)
-                    .ok();
-                ProfiledKnowledge {
-                    app,
-                    knowledge,
-                    profile,
-                }
+            let predictions = self.flag_predictions(toolchain, app)?;
+            let space =
+                dse::DesignSpace::socrates(predictions.flags.clone(), &toolchain.platform.topology);
+            let machine = toolchain.platform.machine(toolchain.seed ^ fnv(app.name()));
+            // Each profiled configuration also runs functionally on the
+            // toolchain's execution engine: the kernel is lowered once
+            // per distinct thread count (cached) and an unbound pragma
+            // parameter surfaces here as a lowering error, not deep
+            // inside a fleet run. The executor only touches the kernel
+            // cache, so the analytic knowledge stays bit-identical to a
+            // plain `dse::profile` sweep.
+            let kernel_err: Mutex<Option<SocratesError>> = Mutex::new(None);
+            let knowledge = dse::profile_with_executor(
+                &machine,
+                &profile,
+                &space.full_factorial(),
+                toolchain.dse_repetitions,
+                &|cfg: &KnobConfig| {
+                    if let Err(e) = self.compiled_kernel(toolchain, app, cfg.tn) {
+                        kernel_err
+                            .lock()
+                            .expect("kernel error slot poisoned")
+                            .get_or_insert(e);
+                    }
+                },
+            );
+            if let Some(e) = kernel_err.into_inner().expect("kernel error slot poisoned") {
+                return Err(e);
             }
-        };
-        let value = Arc::new(value);
-        let mut guard = self.knowledge.lock().expect("knowledge map poisoned");
-        Ok(Arc::clone(guard.entry(key).or_insert(value)))
+            self.counters.knowledge.fetch_add(1, Ordering::Relaxed);
+            // Persistence is best-effort, symmetric with loading: an
+            // unwritable cache directory must not discard a
+            // successfully profiled result.
+            self.save_persisted(toolchain, app, key.config, &knowledge)
+                .ok();
+            Ok(ProfiledKnowledge {
+                app,
+                knowledge,
+                profile,
+            })
+        })
     }
 
     /// The lowered, config-specialized kernel of `app` for a given
@@ -604,12 +587,7 @@ impl ArtifactStore {
             key,
             || {
                 let weaved = self.weaved(toolchain, app)?;
-                let entry = weaved
-                    .multiversioned
-                    .version_functions
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| app.kernel_name());
+                let entry = crate::engine::kernel_entry(&weaved.multiversioned, app);
                 let kernel = crate::engine::compile_kernel_for(
                     toolchain.engine,
                     &weaved.weaved,
@@ -652,12 +630,7 @@ impl ArtifactStore {
             key,
             || {
                 let weaved = self.weaved(toolchain, app)?;
-                let entry = weaved
-                    .multiversioned
-                    .version_functions
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| app.kernel_name());
+                let entry = crate::engine::kernel_entry(&weaved.multiversioned, app);
                 let report = crate::engine::analyze_kernel_for(
                     &weaved.weaved,
                     &entry,
@@ -877,25 +850,59 @@ impl ArtifactStore {
     }
 }
 
-/// Returns the cached artifact for `key`, or runs `build`, inserts and
-/// returns it. The lock is *not* held while building (stages recurse
-/// into the store for their inputs); concurrent builders of the same
-/// key produce identical values and the first insert wins.
+/// One artifact map: each key owns a slot that holds the built value
+/// once its single build succeeded.
+type Slots<K, T> = Mutex<HashMap<K, Arc<Mutex<Option<Arc<T>>>>>>;
+
+/// Returns the cached artifact for `key`, or runs `build`, caches and
+/// returns it — **single flight**: the map lock only hands out the
+/// key's slot, and the first requester builds while holding the slot's
+/// lock (not the map's; stages recurse into the store for their
+/// inputs). Concurrent requesters of the same key wait for that build
+/// and count as hits, so each artifact is built exactly once. A failed
+/// (or panicking) build leaves the slot empty: the next requester
+/// retries, so failures are never cached.
+///
+/// A build must never request its own key — it would wait on itself.
+/// The stage graph is acyclic, so no build does. Waiting inside a
+/// rayon task is safe: the vendored rayon spawns fresh scoped threads
+/// per parallel call and never steals work, so a blocked waiter cannot
+/// strand the work of the build it waits for.
+fn single_flight<K: std::hash::Hash + Eq + Copy, T>(
+    map: &Slots<K, T>,
+    hits: &AtomicU64,
+    key: K,
+    build: impl FnOnce() -> Result<T, SocratesError>,
+) -> Result<Arc<T>, SocratesError> {
+    let slot = Arc::clone(
+        map.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_default(),
+    );
+    let mut value = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(hit) = value.as_ref() {
+        hits.fetch_add(1, Ordering::Relaxed);
+        return Ok(Arc::clone(hit));
+    }
+    let built = Arc::new(build()?);
+    *value = Some(Arc::clone(&built));
+    Ok(built)
+}
+
+/// [`single_flight`] that counts each successful build in `builds`.
 fn get_or_build<K: std::hash::Hash + Eq + Copy, T>(
-    map: &Mutex<HashMap<K, Arc<T>>>,
+    map: &Slots<K, T>,
     hits: &AtomicU64,
     builds: &AtomicU64,
     key: K,
     build: impl FnOnce() -> Result<T, SocratesError>,
 ) -> Result<Arc<T>, SocratesError> {
-    if let Some(hit) = map.lock().expect("artifact map poisoned").get(&key) {
-        hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(hit));
-    }
-    let value = Arc::new(build()?);
-    builds.fetch_add(1, Ordering::Relaxed);
-    let mut guard = map.lock().expect("artifact map poisoned");
-    Ok(Arc::clone(guard.entry(key).or_insert(value)))
+    single_flight(map, hits, key, || {
+        let value = build()?;
+        builds.fetch_add(1, Ordering::Relaxed);
+        Ok(value)
+    })
 }
 
 #[cfg(test)]
@@ -948,6 +955,32 @@ mod tests {
         assert!(d.code.is_none());
         assert_eq!(d.report, a.report, "engines must be bit-identical");
         assert_eq!(store.stats().kernel_builds, 3);
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_kernel_build_it_once() {
+        const THREADS: usize = 8;
+        let tc = quick_toolchain();
+        let store = ArtifactStore::new();
+        // Build the upstream stages first so the threads race on the
+        // kernel key itself.
+        store.weaved(&tc, App::TwoMm).unwrap();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let kernels: Vec<Arc<CompiledKernel>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        store.compiled_kernel(&tc, App::TwoMm, 4).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let stats = store.stats();
+        assert_eq!(stats.kernel_builds, 1, "one build for one key");
+        assert_eq!(stats.kernel_hits, THREADS as u64 - 1, "waiters are hits");
+        assert!(kernels.iter().all(|k| Arc::ptr_eq(k, &kernels[0])));
     }
 
     #[test]

@@ -238,6 +238,17 @@ pub fn full_scale_spec(app: App, ds: Dataset, threads: u32) -> SpecConfig {
     spec
 }
 
+/// The function a weaved program's kernels enter through: the first
+/// multiversioned clone (all clones share one body), or the plain
+/// kernel when the weaver produced no clones.
+pub(crate) fn kernel_entry(multiversioned: &lara::Multiversioned, app: App) -> String {
+    multiversioned
+        .version_functions
+        .first()
+        .cloned()
+        .unwrap_or_else(|| app.kernel_name())
+}
+
 /// Analysis-driven DSE pruning for an enhanced application: drops
 /// configurations whose specialization the static analyzer rejects as
 /// unsafe, and feasible points that are statically dominated on the
@@ -257,12 +268,7 @@ pub fn analysis_prune(
     enhanced: &crate::EnhancedApp,
     configs: Vec<KnobConfig>,
 ) -> dse::PruneReport<KnobConfig> {
-    let entry = enhanced
-        .multiversioned
-        .version_functions
-        .first()
-        .cloned()
-        .unwrap_or_else(|| enhanced.app.kernel_name());
+    let entry = kernel_entry(&enhanced.multiversioned, enhanced.app);
     let (app, ds) = (enhanced.app, enhanced.dataset);
     let base = analyze_kernel_for(&enhanced.weaved, &entry, app, ds, 1).ok();
     let mut workload = enhanced.profile.clone();

@@ -3,16 +3,14 @@
 //! runtimes, plus the event stream ([`FleetEvent`]) their observers
 //! consume.
 //!
-//! Historically each runtime exposed its own round loop
-//! (`step_round`/`run_for`); the redesign re-keys everything to the
-//! **virtual clock**: `run_until(t)` advances a runtime to virtual
-//! time `t`, `run_events(n)` processes a bounded number of scheduler
-//! events, and registered observers see every arrival, step, publish
-//! and retirement as it happens. The lockstep runtimes implement the
-//! surface on top of their unchanged (bit-identical) round semantics —
-//! one synchronized round is one scheduler event — while
-//! [`crate::EventFleet`] implements it natively on a discrete-event
-//! heap.
+//! Everything is keyed to the **virtual clock**: `run_until(t)`
+//! advances a runtime to virtual time `t`, `run_events(n)` processes a
+//! bounded number of scheduler events, and registered observers see
+//! every arrival, step, publish and retirement as it happens. The two
+//! lockstep runtimes share one implementation of the surface: each
+//! supplies only its synchronized round and its per-instance clocks,
+//! and one round is one scheduler event. [`crate::EventFleet`]
+//! implements the surface natively on a discrete-event heap.
 
 use std::fmt;
 
@@ -144,9 +142,9 @@ pub type EventObserver = Box<dyn FnMut(&FleetEvent) + Send>;
 /// the runtime until every schedulable instance has reached virtual
 /// time `t`, however many scheduler events that takes. For the
 /// lockstep implementors one scheduler event is one synchronized round
-/// (their round semantics are unchanged and bit-identical to the
-/// historical `step_round` loop); for the event-driven runtime it is
-/// one heap event (a step, an arrival or a retirement).
+/// (every due instance steps once, then the observations merge at a
+/// barrier); for the event-driven runtime it is one heap event (a
+/// step, an arrival or a retirement).
 pub trait FleetRuntime {
     /// Advances the runtime until no schedulable instance's virtual
     /// clock is below `t_s` (absolute virtual time, seconds). Returns
@@ -168,6 +166,103 @@ pub trait FleetRuntime {
 
     /// Number of instances currently schedulable.
     fn active_count(&self) -> usize;
+}
+
+/// The registered observers of one runtime, fed from sequential code
+/// only.
+#[derive(Default)]
+pub(crate) struct Observers(Vec<EventObserver>);
+
+impl Observers {
+    pub(crate) fn push(&mut self, observer: EventObserver) {
+        self.0.push(observer);
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Delivers one event to every observer, in registration order.
+    pub(crate) fn emit(&mut self, event: FleetEvent) {
+        for observer in &mut self.0 {
+            observer(&event);
+        }
+    }
+}
+
+/// The seam of the lockstep runtimes ([`crate::Fleet`] and
+/// [`crate::DistributedFleet`]): each supplies its synchronized round,
+/// its per-instance clocks and its observers, and gets the whole
+/// [`FleetRuntime`] surface from the one implementation below.
+pub(crate) trait Lockstep {
+    /// `(active, now_s)` of every instance, in instance order.
+    fn clocks(&self) -> Vec<(bool, f64)>;
+
+    /// One synchronized round over the instances marked due; returns
+    /// the number of steps taken.
+    fn round_with(&mut self, due: &[bool]) -> usize;
+
+    /// The registered observers.
+    fn observers(&mut self) -> &mut Observers;
+
+    /// One synchronized round over every active instance.
+    fn round(&mut self) -> usize {
+        let due: Vec<bool> = self
+            .clocks()
+            .into_iter()
+            .map(|(active, _)| active)
+            .collect();
+        self.round_with(&due)
+    }
+}
+
+impl<T: Lockstep> FleetRuntime for T {
+    /// Rounds until every active instance's own virtual clock has
+    /// reached `t_s`; each round steps only the instances still below
+    /// it. Returns the rounds run.
+    fn run_until(&mut self, t_s: f64) -> u64 {
+        let mut rounds = 0;
+        loop {
+            let due: Vec<bool> = self
+                .clocks()
+                .into_iter()
+                .map(|(active, now_s)| active && now_s < t_s)
+                .collect();
+            if !due.contains(&true) {
+                return rounds;
+            }
+            self.round_with(&due);
+            rounds += 1;
+        }
+    }
+
+    /// Runs `n` synchronized rounds (stopping early once no instance
+    /// is active); returns the rounds run.
+    fn run_events(&mut self, n: u64) -> u64 {
+        for done in 0..n {
+            if self.round() == 0 {
+                return done;
+            }
+        }
+        n
+    }
+
+    fn observe(&mut self, observer: EventObserver) {
+        self.observers().push(observer);
+    }
+
+    /// The furthest virtual clock any instance has reached (instances
+    /// advance at their own speed inside a round).
+    fn virtual_now_s(&self) -> f64 {
+        self.clocks()
+            .into_iter()
+            .map(|(_, now_s)| now_s)
+            .fold(0.0, f64::max)
+    }
+
+    fn active_count(&self) -> usize {
+        self.clocks().iter().filter(|(active, _)| *active).count()
+    }
 }
 
 #[cfg(test)]

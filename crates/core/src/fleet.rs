@@ -53,7 +53,7 @@
 
 use crate::engine::{CompiledKernel, ExecutionEngine};
 use crate::error::SocratesError;
-use crate::events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};
+use crate::events::{FleetEvent, InstanceId, Lockstep, Observers};
 use crate::knowledge_io::save_knowledge;
 use crate::runtime::{AdaptiveApplication, TraceSample};
 use crate::snapshot::{KnowledgeSnapshot, SnapshotFingerprint};
@@ -93,7 +93,7 @@ const WARM_HEAD_CAP: usize = 64;
 /// deliberate prior anchor, so the burst does not try to displace them
 /// all — its length must stay in the seconds, not scale with the
 /// window.
-pub(crate) const WARM_HEAD_PASSES: usize = 8;
+const WARM_HEAD_PASSES: usize = 8;
 
 /// Fleet-level policy knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,8 +170,8 @@ pub struct FleetConfig {
     /// the in-process [`Fleet::new`] rejects them.
     pub distributed: Option<crate::transport::DistributedConfig>,
     /// How the runtime advances the fleet's virtual clock — lockstep
-    /// rounds (the reference semantics, bit-identical to the historical
-    /// `step_round` loop) or the sparse discrete-event scheduler.
+    /// rounds (the reference semantics) or the sparse discrete-event
+    /// scheduler.
     /// [`Schedule::EventDriven`] configurations boot through
     /// [`crate::EventFleet::new`]; [`Fleet::new`] rejects them.
     pub schedule: Schedule,
@@ -182,8 +182,8 @@ pub struct FleetConfig {
 pub enum Schedule {
     /// Synchronized rounds: every due instance steps once, then all
     /// observations merge at a sequential barrier in instance order.
-    /// The reference semantics — bit-identical to the historical
-    /// `step_round`/`run_for` loop at any rayon thread count.
+    /// The reference semantics — bit-identical at any rayon thread
+    /// count.
     #[default]
     Lockstep,
     /// A discrete-event scheduler on the virtual clock: each instance
@@ -274,6 +274,29 @@ impl FleetConfig {
             Some(snapshot) if snapshot.fingerprint.app == app.name() => self.warm_seed_copies(),
             _ => 0,
         }
+    }
+
+    /// Sets (or clears) the global power budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the budget is not positive and finite.
+    pub(crate) fn set_power_budget(&mut self, budget_w: Option<f64>) {
+        if let Some(w) = budget_w {
+            assert!(
+                w.is_finite() && w > 0.0,
+                "power budget {w} W must be positive"
+            );
+        }
+        self.power_budget_w = budget_w;
+    }
+
+    /// Each of `active` instances' even share of the power budget,
+    /// watts.
+    pub(crate) fn power_share_w(&self, active: usize) -> Option<f64> {
+        self.power_budget_w
+            .filter(|_| active > 0)
+            .map(|w| w / active as f64)
     }
 }
 
@@ -515,7 +538,7 @@ impl FleetConfigBuilder {
 /// local observations next to its shipped seed. Points the rank cannot
 /// score (missing or non-finite metrics) are skipped — they cannot win
 /// a selection, so they need no early validation.
-pub(crate) fn warm_validation_queue(
+fn warm_validation_queue(
     snapshot: &KnowledgeSnapshot,
     rank: &Rank,
     passes: usize,
@@ -546,13 +569,15 @@ pub(crate) fn warm_validation_queue(
     queue
 }
 
-/// One shared-knowledge pool: all instances of the same application
-/// (same design-time knowledge) publish into and pull from it.
-struct Pool {
-    app: App,
+/// What every in-process knowledge pool ([`Fleet`]'s and
+/// [`crate::EventFleet`]'s) is built from: the application and its
+/// design knowledge (the pool key), the warm-seeded shared knowledge,
+/// the cooperative sweep and the warm-boot validation queue.
+pub(crate) struct PoolCore {
+    pub(crate) app: App,
     design: Knowledge<KnobConfig>,
-    shared: SharedKnowledge<KnobConfig>,
-    schedule: ExplorationSchedule<KnobConfig>,
+    pub(crate) shared: SharedKnowledge<KnobConfig>,
+    pub(crate) schedule: ExplorationSchedule<KnobConfig>,
     /// Warm-boot re-validation queue (empty for cold pools): the
     /// snapshot's head — see [`WARM_HEAD_BAND`] — queued `window` times
     /// per configuration, best first. Served ahead of the cooperative
@@ -560,7 +585,111 @@ struct Pool {
     /// will drive selection trade their shipped seeds for real local
     /// observations in the first seconds of the run instead of ambushing
     /// the fleet with frozen near-ties mid-flight.
-    burst: VecDeque<KnobConfig>,
+    pub(crate) burst: VecDeque<KnobConfig>,
+    /// Configurations the static analyzer removed from the sweep at
+    /// creation (0 unless [`FleetConfig::analysis_prune`] is on).
+    pruned_infeasible: u64,
+    pruned_dominated: u64,
+}
+
+impl PoolCore {
+    /// Builds the pool core for `enhanced`; also returns the seeded
+    /// knowledge, which is the pool's initial effective knowledge.
+    pub(crate) fn new(
+        config: &FleetConfig,
+        enhanced: &EnhancedApp,
+        rank: &Rank,
+    ) -> (Self, Knowledge<KnobConfig>) {
+        let mut sweep: Vec<KnobConfig> = enhanced
+            .knowledge
+            .points()
+            .iter()
+            .map(|p| p.config.clone())
+            .collect();
+        // Analysis-driven schedule pruning: the static analyzer shrinks
+        // what the fleet cooperatively sweeps. The shared knowledge
+        // below still carries every design-time point, so selection is
+        // unaffected — only exploration slots are saved.
+        let (mut pruned_infeasible, mut pruned_dominated) = (0u64, 0u64);
+        if config.analysis_prune {
+            let pruned = crate::engine::analysis_prune(enhanced, sweep);
+            pruned_infeasible = pruned.infeasible as u64;
+            pruned_dominated = pruned.dominated as u64;
+            sweep = pruned.kept;
+        }
+        // Warm-start seeding: merge the shipped snapshot's learned
+        // metrics over the design-time expectations. The pool stays
+        // keyed by the *original* design knowledge (`design`), so warm
+        // and cold joiners of the same enhanced app share one pool.
+        let seeded = match &config.warm_start {
+            Some(snapshot) => snapshot.apply_to_design(&enhanced.knowledge),
+            None => enhanced.knowledge.clone(),
+        };
+        let shared = SharedKnowledge::new(seeded.clone(), config.knowledge_window)
+            .with_min_observations(config.min_observations)
+            .with_shards(config.knowledge_shards);
+        let mut burst = VecDeque::new();
+        if let Some(snapshot) = &config.warm_start {
+            // Fill the shipped points' observation windows too (same-app
+            // seeds only — see `warm_seed_copies_for`): with empty
+            // rings, the first few (noisy) online samples would
+            // displace the seed the moment the min_observations gate
+            // opens, and the fleet would relive the cold-start
+            // transient the snapshot exists to eliminate.
+            let copies = config.warm_seed_copies_for(enhanced.app);
+            if copies > 0 {
+                shared.seed_observations(&snapshot.knowledge, copies);
+            }
+            burst = warm_validation_queue(
+                snapshot,
+                rank,
+                config.knowledge_window.min(WARM_HEAD_PASSES),
+            );
+        }
+        let core = PoolCore {
+            app: enhanced.app,
+            design: enhanced.knowledge.clone(),
+            shared,
+            schedule: ExplorationSchedule::new(sweep),
+            burst,
+            pruned_infeasible,
+            pruned_dominated,
+        };
+        (core, seeded)
+    }
+
+    /// Whether this pool serves `enhanced`. Pools are keyed by
+    /// application *and* design knowledge, so instances enhanced by
+    /// different toolchain configurations never cross-feed
+    /// incompatible operating points.
+    pub(crate) fn serves(&self, enhanced: &EnhancedApp) -> bool {
+        self.app == enhanced.app && self.design == enhanced.knowledge
+    }
+
+    /// Online design-space coverage: `(covered, total)` sweep points.
+    pub(crate) fn coverage(&self) -> (usize, usize) {
+        let total = self.schedule.total();
+        (total - self.schedule.remaining(), total)
+    }
+}
+
+/// The core of the first-created pool serving `app`.
+pub(crate) fn core_for<P: AsRef<PoolCore>>(pools: &[P], app: App) -> Option<&PoolCore> {
+    pools.iter().map(AsRef::as_ref).find(|p| p.app == app)
+}
+
+/// Sweep configurations pruned across all pools:
+/// `(infeasible, dominated)`.
+pub(crate) fn pruned_counts<P: AsRef<PoolCore>>(pools: &[P]) -> (u64, u64) {
+    pools.iter().map(AsRef::as_ref).fold((0, 0), |(i, d), p| {
+        (i + p.pruned_infeasible, d + p.pruned_dominated)
+    })
+}
+
+/// One shared-knowledge pool of the lockstep runtime: all instances of
+/// the same enhanced application publish into and pull from it.
+struct Pool {
+    core: PoolCore,
     /// Effective-knowledge snapshot maintained **once per pool** at the
     /// round barrier (and only when the epoch moved); the parallel
     /// phase hands stale instances this knowledge without touching
@@ -580,11 +709,12 @@ struct Pool {
     kernels: HashMap<u32, Option<Arc<CompiledKernel>>>,
     kernel_builds: u64,
     kernel_cache_hits: u64,
-    /// Configurations the static analyzer removed from this pool's
-    /// exploration schedule at creation (0 unless
-    /// [`FleetConfig::analysis_prune`] is on).
-    pruned_infeasible: u64,
-    pruned_dominated: u64,
+}
+
+impl AsRef<PoolCore> for Pool {
+    fn as_ref(&self) -> &PoolCore {
+        &self.core
+    }
 }
 
 impl Pool {
@@ -600,7 +730,7 @@ impl Pool {
                     engine,
                     &self.weaved,
                     &self.entry,
-                    self.app,
+                    self.core.app,
                     self.dataset,
                     threads,
                 )
@@ -618,18 +748,18 @@ impl Pool {
             // Dirty inserts are always paired with an epoch bump, so an
             // unmoved epoch means there is nothing to drain — skip the
             // per-shard lock sweep entirely.
-            if self.shared.epoch() == self.cache_epoch {
+            if self.core.shared.epoch() == self.cache_epoch {
                 return;
             }
             // Patch only the points whose effective values changed
             // since the last barrier, straight out of the arena;
             // O(changed) instead of O(points), with no intermediate
             // point list.
-            let (to_epoch, _patched) = self.shared.drain_changes_into(&mut self.cache);
+            let (to_epoch, _patched) = self.core.shared.drain_changes_into(&mut self.cache);
             self.cache_epoch = to_epoch;
-        } else if self.shared.epoch() != self.cache_epoch {
+        } else if self.core.shared.epoch() != self.cache_epoch {
             // Reference path: full effective-knowledge rebuild.
-            let (epoch, knowledge) = self.shared.snapshot();
+            let (epoch, knowledge) = self.core.shared.snapshot();
             self.cache_epoch = epoch;
             self.cache = knowledge;
         }
@@ -734,10 +864,10 @@ pub struct Fleet {
     pools: Vec<Pool>,
     instances: Vec<Mutex<Instance>>,
     rounds: u64,
-    /// Registered event-stream observers ([`FleetRuntime::observe`]).
-    /// Only touched from sequential (barrier) code; pure consumers, so
-    /// rounds stay bit-identical with or without them.
-    observers: Vec<EventObserver>,
+    /// Registered event-stream observers
+    /// ([`crate::FleetRuntime::observe`]). Pure consumers, so rounds
+    /// stay bit-identical with or without them.
+    observers: Observers,
 }
 
 impl Default for Fleet {
@@ -776,7 +906,7 @@ impl Fleet {
             pools: Vec::new(),
             instances: Vec::new(),
             rounds: 0,
-            observers: Vec::new(),
+            observers: Observers::default(),
         })
     }
 
@@ -797,18 +927,12 @@ impl Fleet {
 
     /// Number of instances still stepping.
     pub fn active_instances(&self) -> usize {
-        self.instances
-            .iter()
-            .filter(|m| lock_instance(m).active)
-            .count()
+        self.stats().active
     }
 
     /// Number of instances deactivated by a panic inside their step.
     pub fn failed_instances(&self) -> usize {
-        self.instances
-            .iter()
-            .filter(|m| lock_instance(m).failed)
-            .count()
+        self.stats().failed
     }
 
     /// The recovered panic message of a failed instance, or `None` if
@@ -833,10 +957,7 @@ impl Fleet {
         let (kernel_builds, kernel_cache_hits) = self.pools.iter().fold((0, 0), |(b, h), p| {
             (b + p.kernel_builds, h + p.kernel_cache_hits)
         });
-        let (schedule_pruned_infeasible, schedule_pruned_dominated) =
-            self.pools.iter().fold((0, 0), |(i, d), p| {
-                (i + p.pruned_infeasible, d + p.pruned_dominated)
-            });
+        let (schedule_pruned_infeasible, schedule_pruned_dominated) = pruned_counts(&self.pools);
         FleetStats {
             instances: self.instances.len(),
             active,
@@ -857,7 +978,7 @@ impl Fleet {
     pub fn kernel_report(&self, app: App, threads: u32) -> Option<ExecutionReport> {
         self.pools
             .iter()
-            .find(|p| p.app == app)
+            .find(|p| p.core.app == app)
             .and_then(|p| p.kernels.get(&threads))
             .and_then(|k| k.as_deref())
             .map(|k| k.report)
@@ -896,7 +1017,7 @@ impl Fleet {
         }));
         self.rebalance_power();
         let id = self.instances.len() - 1;
-        self.emit(FleetEvent::Arrived {
+        self.observers.emit(FleetEvent::Arrived {
             id: dense_id(id),
             t_s,
         });
@@ -963,7 +1084,7 @@ impl Fleet {
         }
         let t_s = inst.app.now_s();
         self.rebalance_power();
-        self.emit(FleetEvent::Retired {
+        self.observers.emit(FleetEvent::Retired {
             id: dense_id(id),
             t_s,
         });
@@ -983,94 +1104,13 @@ impl Fleet {
     /// [`FleetConfig::validate`] to reject such budgets with an error
     /// instead).
     pub fn set_power_budget(&mut self, budget_w: Option<f64>) {
-        if let Some(w) = budget_w {
-            assert!(
-                w.is_finite() && w > 0.0,
-                "power budget {w} W must be positive"
-            );
-        }
-        self.config.power_budget_w = budget_w;
+        self.config.set_power_budget(budget_w);
         self.rebalance_power();
     }
 
     /// Each active instance's current power allocation, watts.
     pub fn power_share_w(&self) -> Option<f64> {
-        let active = self.active_instances();
-        match self.config.power_budget_w {
-            Some(w) if active > 0 => Some(w / active as f64),
-            _ => None,
-        }
-    }
-
-    /// One synchronized round: every active instance performs one
-    /// MAPE-K (or exploration) step concurrently, then all observations
-    /// are merged into the shared knowledge in instance order. Returns
-    /// the number of steps taken.
-    #[deprecated(note = "use the FleetRuntime surface: run_events(1) is one synchronized round")]
-    pub fn step_round(&mut self) -> usize {
-        self.step_round_inner()
-    }
-
-    /// Steps rounds until every active instance has advanced its own
-    /// virtual clock by `duration_s` seconds (instances run at their
-    /// own speed: faster ones take more invocations per wall round).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration_s` is not strictly positive.
-    #[deprecated(
-        note = "use the FleetRuntime surface: run_until(t) advances to an absolute virtual time"
-    )]
-    pub fn run_for(&mut self, duration_s: f64) {
-        self.run_for_inner(duration_s);
-    }
-
-    /// The non-deprecated internals of [`step_round`](Self::step_round).
-    fn step_round_inner(&mut self) -> usize {
-        let due: Vec<bool> = self
-            .instances
-            .iter_mut()
-            .map(|m| instance_mut(m).active)
-            .collect();
-        self.round_with(&due)
-    }
-
-    /// The non-deprecated internals of [`run_for`](Self::run_for):
-    /// rounds against per-instance deadlines `now + duration`.
-    fn run_for_inner(&mut self, duration_s: f64) -> u64 {
-        assert!(duration_s > 0.0, "duration must be positive");
-        let deadlines: Vec<f64> = self
-            .instances
-            .iter_mut()
-            .map(|m| {
-                let inst = instance_mut(m);
-                inst.app.now_s() + duration_s
-            })
-            .collect();
-        self.rounds_to_deadlines(&deadlines)
-    }
-
-    /// Rounds until every active instance has reached its own absolute
-    /// deadline; returns the number of rounds (scheduler events).
-    fn rounds_to_deadlines(&mut self, deadlines: &[f64]) -> u64 {
-        let mut rounds = 0;
-        loop {
-            let due: Vec<bool> = self
-                .instances
-                .iter_mut()
-                .zip(deadlines)
-                .map(|(m, &deadline)| {
-                    let inst = instance_mut(m);
-                    inst.active && inst.app.now_s() < deadline
-                })
-                .collect();
-            if !due.iter().any(|&d| d) {
-                break;
-            }
-            self.round_with(&due);
-            rounds += 1;
-        }
-        rounds
+        self.config.power_share_w(self.active_instances())
     }
 
     /// The execution trace of instance `id` so far.
@@ -1119,10 +1159,7 @@ impl Fleet {
     /// application (different design knowledge), the first-created
     /// pool is reported; use [`Fleet::persist_learned`] to export all.
     pub fn learned_knowledge(&self, app: App) -> Option<Knowledge<KnobConfig>> {
-        self.pools
-            .iter()
-            .find(|p| p.app == app)
-            .map(|p| p.shared.knowledge())
+        core_for(&self.pools, app).map(|p| p.shared.knowledge())
     }
 
     /// Cuts a shippable [`KnowledgeSnapshot`] of `app`'s pool — the
@@ -1136,30 +1173,19 @@ impl Fleet {
         app: App,
         fingerprint: SnapshotFingerprint,
     ) -> Option<KnowledgeSnapshot> {
-        self.pools
-            .iter()
-            .find(|p| p.app == app)
-            .map(|p| KnowledgeSnapshot::capture(&p.shared, fingerprint))
+        core_for(&self.pools, app).map(|p| KnowledgeSnapshot::capture(&p.shared, fingerprint))
     }
 
     /// The shared-knowledge epoch for `app` (how many publishes changed
     /// an effective value), or `None` if unknown.
     pub fn knowledge_epoch(&self, app: App) -> Option<u64> {
-        self.pools
-            .iter()
-            .find(|p| p.app == app)
-            .map(|p| p.shared.epoch())
+        core_for(&self.pools, app).map(|p| p.shared.epoch())
     }
 
     /// Online design-space coverage for `app`: `(covered, total)`
     /// operating points, or `None` if unknown.
     pub fn exploration_coverage(&self, app: App) -> Option<(usize, usize)> {
-        self.pools.iter().find(|p| p.app == app).map(|p| {
-            (
-                p.schedule.total() - p.schedule.remaining(),
-                p.schedule.total(),
-            )
-        })
+        core_for(&self.pools, app).map(PoolCore::coverage)
     }
 
     /// Persists every pool's learned knowledge as
@@ -1178,102 +1204,39 @@ impl Fleet {
         std::fs::create_dir_all(dir).map_err(|e| SocratesError::io(dir, e))?;
         let mut written: Vec<PathBuf> = Vec::with_capacity(self.pools.len());
         for (i, pool) in self.pools.iter().enumerate() {
+            let app = pool.core.app;
             let first_of_app = self
                 .pools
                 .iter()
-                .position(|p| p.app == pool.app)
+                .position(|p| p.core.app == app)
                 .expect("pool exists");
             let path = if first_of_app == i {
-                dir.join(format!("{}_learned.json", pool.app.name()))
+                dir.join(format!("{}_learned.json", app.name()))
             } else {
-                dir.join(format!("{}_learned_{i}.json", pool.app.name()))
+                dir.join(format!("{}_learned_{i}.json", app.name()))
             };
-            save_knowledge(&pool.shared.knowledge(), &path)?;
+            save_knowledge(&pool.core.shared.knowledge(), &path)?;
             written.push(path);
         }
         Ok(written)
     }
 
-    /// Finds (or creates) the shared pool for an enhanced app. Pools
-    /// are keyed by application *and* design knowledge, so instances
-    /// enhanced by different toolchain configurations never cross-feed
-    /// incompatible operating points.
+    /// Finds (or creates) the shared pool for an enhanced app.
     fn pool_for(&mut self, enhanced: &EnhancedApp, rank: &Rank) -> usize {
-        if let Some(i) = self
-            .pools
-            .iter()
-            .position(|p| p.app == enhanced.app && p.design == enhanced.knowledge)
-        {
+        if let Some(i) = self.pools.iter().position(|p| p.core.serves(enhanced)) {
             return i;
         }
-        let mut configs: Vec<KnobConfig> = enhanced
-            .knowledge
-            .points()
-            .iter()
-            .map(|p| p.config.clone())
-            .collect();
-        // Analysis-driven schedule pruning: the static analyzer shrinks
-        // what the fleet cooperatively sweeps. The shared knowledge
-        // below still carries every design-time point, so selection is
-        // unaffected — only exploration slots are saved.
-        let (mut pruned_infeasible, mut pruned_dominated) = (0u64, 0u64);
-        if self.config.analysis_prune {
-            let pruned = crate::engine::analysis_prune(enhanced, configs);
-            pruned_infeasible = pruned.infeasible as u64;
-            pruned_dominated = pruned.dominated as u64;
-            configs = pruned.kept;
-        }
-        let entry = enhanced
-            .multiversioned
-            .version_functions
-            .first()
-            .cloned()
-            .unwrap_or_else(|| enhanced.app.kernel_name());
-        // Warm-start seeding: merge the shipped snapshot's learned
-        // metrics over the design-time expectations. The pool stays
-        // keyed by the *original* design knowledge (`design`), so warm
-        // and cold joiners of the same enhanced app share one pool.
-        let seeded = match &self.config.warm_start {
-            Some(snapshot) => snapshot.apply_to_design(&enhanced.knowledge),
-            None => enhanced.knowledge.clone(),
-        };
-        let shared = SharedKnowledge::new(seeded.clone(), self.config.knowledge_window)
-            .with_min_observations(self.config.min_observations)
-            .with_shards(self.config.knowledge_shards);
-        let mut burst = VecDeque::new();
-        if let Some(snapshot) = &self.config.warm_start {
-            // Fill the shipped points' observation windows too (same-app
-            // seeds only — see `warm_seed_copies_for`): with empty
-            // rings, the first few (noisy) online samples would
-            // displace the seed the moment the min_observations gate
-            // opens, and the fleet would relive the cold-start
-            // transient the snapshot exists to eliminate.
-            let copies = self.config.warm_seed_copies_for(enhanced.app);
-            if copies > 0 {
-                shared.seed_observations(&snapshot.knowledge, copies);
-            }
-            burst = warm_validation_queue(
-                snapshot,
-                rank,
-                self.config.knowledge_window.min(WARM_HEAD_PASSES),
-            );
-        }
+        let (core, seeded) = PoolCore::new(&self.config, enhanced, rank);
         self.pools.push(Pool {
-            app: enhanced.app,
-            design: enhanced.knowledge.clone(),
-            shared,
-            schedule: ExplorationSchedule::new(configs),
-            burst,
+            core,
             cache_epoch: 0,
             cache: seeded,
             weaved: enhanced.weaved.clone(),
-            entry,
+            entry: crate::engine::kernel_entry(&enhanced.multiversioned, enhanced.app),
             dataset: enhanced.dataset,
             kernels: HashMap::new(),
             kernel_builds: 0,
             kernel_cache_hits: 0,
-            pruned_infeasible,
-            pruned_dominated,
         });
         let engine = self.config.engine;
         let pool = self.pools.len() - 1;
@@ -1291,10 +1254,7 @@ impl Fleet {
             .map(|m| instance_mut(m).active)
             .filter(|&a| a)
             .count();
-        let share = match self.config.power_budget_w {
-            Some(w) if active > 0 => Some(w / active as f64),
-            _ => None,
-        };
+        let share = self.config.power_share_w(active);
         for m in &mut self.instances {
             let inst = instance_mut(m);
             if !inst.active {
@@ -1329,6 +1289,24 @@ impl Fleet {
             }
         }
     }
+}
+
+/// A dense lockstep index as a never-reused handle: dense runtimes
+/// never reuse an index, so generation 0 is faithful.
+pub(crate) fn dense_id(id: usize) -> InstanceId {
+    InstanceId::new(u32::try_from(id).expect("dense fleet ids fit in u32"), 0)
+}
+
+impl Lockstep for Fleet {
+    fn clocks(&self) -> Vec<(bool, f64)> {
+        self.instances
+            .iter()
+            .map(|m| {
+                let inst = lock_instance(m);
+                (inst.active, inst.app.now_s())
+            })
+            .collect()
+    }
 
     /// One round over the instances marked due: assign exploration
     /// slots (sequential), step (parallel), merge observations
@@ -1353,9 +1331,10 @@ impl Fleet {
                 // is a forced re-validation sample. The queue is a few
                 // hundred entries fleet-wide, so this window is over in
                 // the first seconds of the run.
-                let assigned = match self.pools[pool].burst.pop_front() {
+                let core = &mut self.pools[pool].core;
+                let assigned = match core.burst.pop_front() {
                     Some(cfg) => Some(cfg),
-                    None if explore => self.pools[pool].schedule.next_unexplored(),
+                    None if explore => core.schedule.next_unexplored(),
                     None => None,
                 };
                 if assigned.is_some() {
@@ -1512,13 +1491,14 @@ impl Fleet {
                 // round's organic coverage is folded in: a config
                 // another instance genuinely observed this round stays
                 // covered.
+                let core = &mut pool.core;
                 for cfg in requeue {
-                    pool.schedule.requeue(cfg);
+                    core.schedule.requeue(cfg);
                 }
                 if !batch.is_empty() {
-                    pool.shared
+                    core.shared
                         .publish_batch(batch.iter().map(|(config, m)| (config, m)));
-                    pool.schedule
+                    core.schedule
                         .mark_explored_batch(batch.iter().map(|(config, _)| config));
                 }
                 pool.refresh_cache(self.config.incremental_refresh);
@@ -1544,13 +1524,13 @@ impl Fleet {
             // Steps first (instance order), then the round's publishes
             // with each pool's post-batch epoch — the order state
             // actually changed in.
-            let epochs: Vec<u64> = self.pools.iter().map(|p| p.shared.epoch()).collect();
+            let epochs: Vec<u64> = self.pools.iter().map(|p| p.core.shared.epoch()).collect();
             for event in step_events {
-                self.emit(event);
+                self.observers.emit(event);
             }
             for (id, pool) in publishers {
                 let t_s = lock_instance(&self.instances[id]).app.now_s();
-                self.emit(FleetEvent::Published {
+                self.observers.emit(FleetEvent::Published {
                     id: dense_id(id),
                     t_s,
                     epoch: epochs[pool],
@@ -1560,67 +1540,15 @@ impl Fleet {
         steps
     }
 
-    /// Delivers one event to every registered observer, in
-    /// registration order. Sequential code only.
-    fn emit(&mut self, event: FleetEvent) {
-        for observer in &mut self.observers {
-            observer(&event);
-        }
-    }
-}
-
-/// A dense lockstep index as a never-reused handle: dense runtimes
-/// never reuse an index, so generation 0 is faithful.
-pub(crate) fn dense_id(id: usize) -> InstanceId {
-    InstanceId::new(u32::try_from(id).expect("dense fleet ids fit in u32"), 0)
-}
-
-impl FleetRuntime for Fleet {
-    /// Rounds until every active instance's own virtual clock has
-    /// reached the absolute time `t_s`; one scheduler event is one
-    /// synchronized round. From a fresh boot (all clocks at zero) this
-    /// is exactly the historical `run_for(t_s)` round sequence.
-    fn run_until(&mut self, t_s: f64) -> u64 {
-        let deadlines = vec![t_s; self.instances.len()];
-        self.rounds_to_deadlines(&deadlines)
-    }
-
-    /// Runs `n` synchronized rounds (stopping early once no instance
-    /// is active); returns the rounds run.
-    fn run_events(&mut self, n: u64) -> u64 {
-        for done in 0..n {
-            if self.step_round_inner() == 0 {
-                return done;
-            }
-        }
-        n
-    }
-
-    fn observe(&mut self, observer: EventObserver) {
-        self.observers.push(observer);
-    }
-
-    /// The furthest virtual clock any instance has reached (instances
-    /// advance at their own speed inside a round).
-    fn virtual_now_s(&self) -> f64 {
-        self.instances
-            .iter()
-            .map(|m| lock_instance(m).app.now_s())
-            .fold(0.0, f64::max)
-    }
-
-    fn active_count(&self) -> usize {
-        self.active_instances()
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.observers
     }
 }
 
 #[cfg(test)]
 mod tests {
-    // The pinned reference tests exercise the deprecated round surface
-    // on purpose: it must stay bit-identical until removal.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::events::FleetRuntime;
     use crate::toolchain::Toolchain;
     use polybench::Dataset;
 
@@ -1649,7 +1577,7 @@ mod tests {
         let ids = fleet.spawn(&enhanced, &rank(), 7, 3);
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(fleet.active_instances(), 3);
-        fleet.step_round();
+        fleet.round();
         let t0 = fleet.trace(0)[0].time_s;
         let t1 = fleet.trace(1)[0].time_s;
         assert_ne!(t0, t1, "forked machines must see distinct noise");
@@ -1661,7 +1589,7 @@ mod tests {
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
         assert_eq!(fleet.knowledge_epoch(App::TwoMm), Some(0));
-        let steps = fleet.step_round();
+        let steps = fleet.round();
         assert_eq!(steps, 2);
         assert_eq!(fleet.knowledge_epoch(App::TwoMm), Some(2));
         let learned = fleet.learned_knowledge(App::TwoMm).unwrap();
@@ -1805,10 +1733,16 @@ mod tests {
             fleet.spawn(&enhanced, &rank(), 7, 3);
             fleet
         };
-        // From a fresh boot (all clocks at zero) run_until(t) is the
-        // historical run_for(t) round sequence, bit for bit.
+        // run_until(t) is the explicit per-instance-deadline round
+        // loop, bit for bit.
         let mut legacy = boot();
-        legacy.run_for(2.0);
+        loop {
+            let due: Vec<bool> = (0..3).map(|id| legacy.now_s(id) < 2.0).collect();
+            if !due.contains(&true) {
+                break;
+            }
+            legacy.round_with(&due);
+        }
         let mut unified = boot();
         let rounds = unified.run_until(2.0);
         assert!(rounds > 0);
@@ -1905,12 +1839,12 @@ mod tests {
         fleet.spawn(&enhanced, &rank(), 3, 3);
         fleet.set_power_budget(Some(300.0));
         assert_eq!(fleet.power_share_w(), Some(100.0));
-        fleet.step_round();
+        fleet.round();
         // Emptying the knowledge makes the next plan step panic inside
         // the MAPE-K loop ("toolchain produced non-empty knowledge") —
         // a deterministic stand-in for any instance-level bug.
         fleet.with_instance_mut(0, |app| app.set_knowledge(Knowledge::new()));
-        let steps = fleet.step_round();
+        let steps = fleet.round();
         assert_eq!(steps, 2, "the two healthy instances keep stepping");
         let stats = fleet.stats();
         assert_eq!(stats.instances, 3);
@@ -1926,7 +1860,7 @@ mod tests {
         // The fleet keeps running; the failed instance's trace is
         // frozen but still readable through its recovered lock.
         let frozen = fleet.trace(0).len();
-        fleet.run_for(0.5);
+        fleet.run_until(fleet.virtual_now_s() + 0.5);
         assert_eq!(fleet.trace(0).len(), frozen);
         assert!(fleet.trace(1).len() > 1);
     }
@@ -1951,7 +1885,7 @@ mod tests {
         assert!(doctored.try_version_of(&missing).is_err());
         fleet.add_instance(enhanced.clone(), rank(), enhanced.platform.machine(1));
         fleet.add_instance(doctored, rank(), enhanced.platform.machine(2));
-        let steps = fleet.step_round();
+        let steps = fleet.round();
         assert_eq!(steps, 2, "the stale assignment must not panic");
         let trace = fleet.trace(1);
         assert_eq!(trace.len(), 1);
@@ -1976,7 +1910,7 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.step_round();
+        fleet.round();
         let epoch = fleet.knowledge_epoch(App::TwoMm).unwrap();
         // Publishing an empty bundle directly against the pool's shared
         // knowledge is accepted but changes nothing — no epoch bump,
@@ -1984,7 +1918,7 @@ mod tests {
         let learned = fleet.learned_knowledge(App::TwoMm).unwrap();
         let pool = &fleet.pools[0];
         let config = learned.points()[0].config.clone();
-        assert!(pool.shared.publish(&config, &MetricValues::new()));
+        assert!(pool.core.shared.publish(&config, &MetricValues::new()));
         assert_eq!(fleet.knowledge_epoch(App::TwoMm), Some(epoch));
     }
 
@@ -1998,7 +1932,7 @@ mod tests {
                 ..FleetConfig::default()
             });
             fleet.spawn(&enhanced, &rank(), 3, 4);
-            fleet.run_for(2.0);
+            fleet.run_until(2.0);
             let traces: Vec<_> = (0..4).map(|id| fleet.trace(id)).collect();
             (
                 traces,
@@ -2019,7 +1953,7 @@ mod tests {
             ..FleetConfig::default()
         });
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.run_for(1.0);
+        fleet.run_until(1.0);
         assert_eq!(fleet.knowledge_epoch(App::TwoMm), Some(0));
         assert_eq!(
             fleet.learned_knowledge(App::TwoMm).unwrap(),
@@ -2037,7 +1971,7 @@ mod tests {
         fleet.spawn(&enhanced, &rank(), 3, 4);
         let total = enhanced.knowledge.len();
         for _ in 0..8 {
-            fleet.step_round();
+            fleet.round();
         }
         let (covered, t) = fleet.exploration_coverage(App::TwoMm).unwrap();
         assert_eq!(t, total);
@@ -2074,7 +2008,7 @@ mod tests {
         fleet.spawn(&enhanced, &Rank::minimize(Metric::exec_time()), 3, 2);
         // 2 instances × 70 W each: the unconstrained pick draws >100 W.
         fleet.set_power_budget(Some(140.0));
-        fleet.run_for(3.0);
+        fleet.run_until(3.0);
         for id in 0..2 {
             for s in fleet.trace(id) {
                 assert!(
@@ -2091,10 +2025,10 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.step_round();
+        fleet.round();
         fleet.retire_instance(0);
         let frozen_len = fleet.trace(0).len();
-        assert_eq!(fleet.step_round(), 1, "only instance 1 steps");
+        assert_eq!(fleet.round(), 1, "only instance 1 steps");
         assert_eq!(fleet.trace(0).len(), frozen_len);
         assert_eq!(fleet.active_instances(), 1);
         // An orderly retirement is not a failure.
@@ -2106,7 +2040,7 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.run_for(2.0);
+        fleet.run_until(2.0);
         let learned = fleet.learned_knowledge(App::TwoMm).unwrap();
         let machine = enhanced.platform.machine(123);
         let id = fleet.add_instance(enhanced.clone(), rank(), machine);
@@ -2142,7 +2076,7 @@ mod tests {
         let learned = fleet.learned_knowledge(App::Mvt).unwrap();
         assert_eq!(learned.len(), enhanced.knowledge.len());
         // And the pruned fleet still steps normally.
-        assert_eq!(fleet.step_round(), 2);
+        assert_eq!(fleet.round(), 2);
 
         // The default configuration prunes nothing.
         let mut plain = fleet_with(FleetConfig::default());
@@ -2161,7 +2095,7 @@ mod tests {
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&twomm, &rank(), 3, 2);
         fleet.spawn(&mvt, &rank(), 3, 2);
-        fleet.run_for(1.0);
+        fleet.run_until(1.0);
         let k2 = fleet.learned_knowledge(App::TwoMm).unwrap();
         let km = fleet.learned_knowledge(App::Mvt).unwrap();
         assert_ne!(k2, km);
@@ -2176,7 +2110,7 @@ mod tests {
         fleet.spawn(&enhanced, &rank(), 3, 4);
         let boot = fleet.stats();
         assert_eq!(boot.kernel_builds, 1, "pool creation warms threads=1");
-        fleet.run_for(2.0);
+        fleet.run_until(2.0);
         let stats = fleet.stats();
         // One lowering per distinct thread count the fleet ran; every
         // other (instance, round) pair hit the pool cache.
@@ -2207,7 +2141,7 @@ mod tests {
                 ..FleetConfig::default()
             });
             fleet.spawn(&enhanced, &rank(), 3, 2);
-            fleet.run_for(1.0);
+            fleet.run_until(1.0);
             (fleet.kernel_report(App::Atax, 1).unwrap(), fleet.trace(0))
         };
         let (ast_report, ast_trace) = run(ExecutionEngine::Ast);
@@ -2225,7 +2159,7 @@ mod tests {
         // A donor fleet learns for a while, then cuts a snapshot.
         let mut donor = fleet_with(FleetConfig::default());
         donor.spawn(&enhanced, &rank(), 3, 2);
-        donor.run_for(2.0);
+        donor.run_until(2.0);
         let fingerprint = SnapshotFingerprint::new(App::TwoMm.name(), "Medium", 0);
         let snapshot = donor
             .knowledge_snapshot(App::TwoMm, fingerprint)
@@ -2262,7 +2196,7 @@ mod tests {
         let adopted = warm.with_instance_mut(id, |app| app.manager().asrtm().knowledge().clone());
         assert_shipped(&adopted, "the joiner's warm cache");
         // The warm pool keeps learning on top of the seed.
-        warm.step_round();
+        warm.round();
         assert!(warm.knowledge_epoch(App::TwoMm).unwrap() > 0);
     }
 
@@ -2271,7 +2205,7 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut donor = fleet_with(FleetConfig::default());
         donor.spawn(&enhanced, &rank(), 3, 2);
-        donor.run_for(2.0);
+        donor.run_until(2.0);
         let snapshot = donor
             .knowledge_snapshot(
                 App::TwoMm,
@@ -2302,7 +2236,7 @@ mod tests {
         assert_eq!(warm.learned_knowledge(App::ThreeMm).unwrap(), merged);
         // ...but one real observation of a config fully replaces the
         // foreign guess instead of averaging against a seeded window.
-        warm.step_round();
+        warm.round();
         let after = warm.learned_knowledge(App::ThreeMm).unwrap();
         let sampled = warm
             .with_instance_mut(id, |app| app.trace().last().map(|s| s.config.clone()))
@@ -2346,7 +2280,7 @@ mod tests {
         let enhanced = quick_enhanced(App::TwoMm);
         let mut fleet = fleet_with(FleetConfig::default());
         fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.run_for(1.0);
+        fleet.run_until(1.0);
         let dir = std::env::temp_dir().join(format!("socrates-fleet-{}", std::process::id()));
         let written = fleet.persist_learned(&dir).unwrap();
         assert_eq!(written.len(), 1);

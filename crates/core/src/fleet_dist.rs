@@ -49,7 +49,7 @@
 
 use crate::engine::CompiledKernel;
 use crate::error::SocratesError;
-use crate::events::{EventObserver, FleetEvent, FleetRuntime};
+use crate::events::{FleetEvent, Lockstep, Observers};
 use crate::fleet::{dense_id, FleetConfig};
 use crate::runtime::{AdaptiveApplication, TraceSample};
 use crate::toolchain::EnhancedApp;
@@ -194,10 +194,10 @@ pub struct DistributedFleet {
     /// fails [`DistributedFleet::new`] with a lower-stage error instead
     /// of surfacing mid-deployment).
     kernel: Arc<CompiledKernel>,
-    /// Registered event-stream observers ([`FleetRuntime::observe`]).
-    /// Pure consumers fed from sequential code only — rounds are
+    /// Registered event-stream observers
+    /// ([`crate::FleetRuntime::observe`]). Pure consumers — rounds are
     /// bit-identical with or without them.
-    observers: Vec<EventObserver>,
+    observers: Observers,
 }
 
 impl DistributedFleet {
@@ -263,12 +263,7 @@ impl DistributedFleet {
             .iter()
             .map(|p| probe.shard_of(&p.config).expect("design config is known"))
             .collect();
-        let entry = enhanced
-            .multiversioned
-            .version_functions
-            .first()
-            .cloned()
-            .unwrap_or_else(|| enhanced.app.kernel_name());
+        let entry = crate::engine::kernel_entry(&enhanced.multiversioned, enhanced.app);
         let kernel = Arc::new(crate::engine::compile_kernel_for(
             config.engine,
             &enhanced.weaved,
@@ -298,7 +293,7 @@ impl DistributedFleet {
             rounds: 0,
             config,
             kernel,
-            observers: Vec::new(),
+            observers: Observers::default(),
         })
     }
 
@@ -429,23 +424,10 @@ impl DistributedFleet {
         } else {
             // Churn: announce over the (lossy) wire; resent every
             // sync interval until a snapshot arrives.
-            match self.dist.topology {
-                DistTopology::BrokerStar => {
-                    self.net.send(id, BROKER, WireMessage::Join { node: id })
-                }
-                DistTopology::Gossip { .. } => {
-                    if let Some(seed) = self.seed_peer(id) {
-                        self.net.send(id, seed, WireMessage::Join { node: id });
-                    } else {
-                        // Nobody to learn from: the sole member needs
-                        // no snapshot.
-                        self.nodes.last_mut().expect("just pushed").joined = true;
-                    }
-                }
-            }
+            self.resend_join(id as usize);
         }
         let t_s = self.nodes[id as usize].app.now_s();
-        self.emit(FleetEvent::Arrived {
+        self.observers.emit(FleetEvent::Arrived {
             id: dense_id(id as usize),
             t_s,
         });
@@ -486,7 +468,7 @@ impl DistributedFleet {
                 .send(node_id, BROKER, WireMessage::Leave { node: node_id });
         }
         let t_s = self.nodes[id].app.now_s();
-        self.emit(FleetEvent::Retired {
+        self.observers.emit(FleetEvent::Retired {
             id: dense_id(id),
             t_s,
         });
@@ -551,17 +533,11 @@ impl DistributedFleet {
     /// equal to everyone else's after [`drain`](Self::drain)). The
     /// design knowledge if the fleet is empty.
     pub fn authoritative_knowledge(&self) -> Knowledge<KnobConfig> {
-        if let Some(broker) = &self.broker {
-            return broker.published.clone();
+        match (&self.broker, self.authoritative_replica()) {
+            (Some(broker), _) => broker.published.clone(),
+            (None, Some(replica)) => replica.knowledge(),
+            (None, None) => self.enhanced.knowledge.clone(),
         }
-        for node in &self.nodes {
-            if node.active {
-                if let NodeSync::Gossip(g) = &node.sync {
-                    return g.replica.knowledge();
-                }
-            }
-        }
-        self.enhanced.knowledge.clone()
     }
 
     /// Every observation the authoritative participant has logged, in
@@ -569,74 +545,23 @@ impl DistributedFleet {
     /// single-mutex reference fold the property tests compare
     /// against. Complete once [`drain`](Self::drain) returned.
     pub fn canonical_ops(&self) -> Vec<Observation> {
-        if let Some(broker) = &self.broker {
-            return broker.replica.ops().cloned().collect();
-        }
-        for node in &self.nodes {
-            if node.active {
-                if let NodeSync::Gossip(g) = &node.sync {
-                    return g.replica.ops().cloned().collect();
-                }
-            }
-        }
-        Vec::new()
+        self.authoritative_replica()
+            .map(|replica| replica.ops().cloned().collect())
+            .unwrap_or_default()
     }
 
-    /// One synchronized round over all active instances; returns the
-    /// number of steps taken.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the FleetRuntime surface: run_events(1) runs one synchronized round"
-    )]
-    pub fn step_round(&mut self) -> usize {
-        self.step_round_inner()
-    }
-
-    /// Steps rounds until every active instance advanced its own
-    /// virtual clock by `duration_s` seconds (mirrors
-    /// [`crate::Fleet::run_for`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration_s` is not strictly positive.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the FleetRuntime surface: run_until(t) advances to an absolute virtual time"
-    )]
-    pub fn run_for(&mut self, duration_s: f64) {
-        assert!(duration_s > 0.0, "duration must be positive");
-        let deadlines: Vec<f64> = self
-            .nodes
-            .iter()
-            .map(|n| n.app.now_s() + duration_s)
-            .collect();
-        self.rounds_to_deadlines(&deadlines);
-    }
-
-    /// The non-deprecated internals of
-    /// [`step_round`](Self::step_round), shared with the
-    /// [`FleetRuntime`] surface.
-    fn step_round_inner(&mut self) -> usize {
-        let due: Vec<bool> = self.nodes.iter().map(|n| n.active).collect();
-        self.round_with(&due)
-    }
-
-    /// Rounds until every active node has reached its own deadline;
-    /// returns the rounds run.
-    fn rounds_to_deadlines(&mut self, deadlines: &[f64]) -> u64 {
-        let mut rounds = 0;
-        loop {
-            let due: Vec<bool> = self
+    /// The broker's replica (star) or the first active node's (gossip).
+    fn authoritative_replica(&self) -> Option<&Replica> {
+        match &self.broker {
+            Some(broker) => Some(&broker.replica),
+            None => self
                 .nodes
                 .iter()
-                .zip(deadlines)
-                .map(|(n, &deadline)| n.active && n.app.now_s() < deadline)
-                .collect();
-            if !due.iter().any(|&d| d) {
-                return rounds;
-            }
-            self.round_with(&due);
-            rounds += 1;
+                .filter(|n| n.active)
+                .find_map(|n| match &n.sync {
+                    NodeSync::Gossip(g) => Some(&g.replica),
+                    NodeSync::Star(_) => None,
+                }),
         }
     }
 
@@ -685,52 +610,6 @@ impl DistributedFleet {
     }
 
     // ---- round phases --------------------------------------------------
-
-    fn round_with(&mut self, due: &[bool]) -> usize {
-        assert_eq!(due.len(), self.nodes.len());
-        self.net.tick();
-        self.deliver_phase();
-        self.adopt_phase();
-        let stepped = self.step_phase(due);
-        let steps = stepped.iter().filter(|s| s.is_some()).count();
-        self.publish_phase(&stepped);
-        self.rounds += 1;
-        if !self.observers.is_empty() {
-            // Sequential, after the barrier: observers see the round's
-            // steps in node order, then each node's publish with its
-            // own post-round epoch view. Pure consumers — the round is
-            // bit-identical with or without them.
-            for (idx, sample) in stepped.iter().enumerate() {
-                let Some(sample) = sample else { continue };
-                self.emit(FleetEvent::Stepped {
-                    id: dense_id(idx),
-                    t_start_s: sample.t_start_s,
-                    time_s: sample.time_s,
-                    power_w: sample.power_w,
-                    forced: sample.forced,
-                });
-            }
-            for (idx, sample) in stepped.iter().enumerate() {
-                let Some(sample) = sample else { continue };
-                // The distributed epoch is the node's own view: the
-                // sum of its per-shard epoch vector (monotone under
-                // broadcast/fold progress).
-                let epoch = self.epoch_vector(idx).iter().sum();
-                self.emit(FleetEvent::Published {
-                    id: dense_id(idx),
-                    t_s: sample.t_start_s + sample.time_s,
-                    epoch,
-                });
-            }
-        }
-        steps
-    }
-
-    fn emit(&mut self, event: FleetEvent) {
-        for observer in &mut self.observers {
-            observer(&event);
-        }
-    }
 
     /// Hands out every due message in deterministic order, cascading
     /// broker flushes until the phase is quiescent (zero-latency
@@ -797,142 +676,84 @@ impl DistributedFleet {
 
     fn publish_phase(&mut self, stepped: &[Option<TraceSample>]) {
         let round = self.rounds;
-        let sync_due = round.is_multiple_of(self.dist.sync_interval);
-        let active_ids: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|n| n.active)
-            .map(|n| n.id)
-            .collect();
-        for (idx, sample) in stepped.iter().enumerate() {
-            if !self.nodes[idx].active {
+        // Emit this round's observations into each node's own side of
+        // the exchange.
+        for (node, sample) in self.nodes.iter_mut().zip(stepped) {
+            let Some(sample) = sample.as_ref().filter(|_| node.active) else {
                 continue;
-            }
-            let id = self.nodes[idx].id;
-            // Emit this round's observation into the node's own side
-            // of the exchange.
-            if let Some(sample) = sample {
-                let node = &mut self.nodes[idx];
-                let op = Observation {
-                    origin: id,
-                    seq: node.seq,
-                    round,
-                    config: sample.config.clone(),
-                    observed: sample.observed_metrics(),
-                };
-                node.seq += 1;
-                match &mut node.sync {
-                    NodeSync::Star(s) => {
-                        s.unacked.insert(op.seq, op);
-                    }
-                    NodeSync::Gossip(g) => {
-                        g.replica.insert(op.clone());
-                        g.outbox.push(op);
-                    }
-                }
-            }
-            match &mut self.nodes[idx].sync {
+            };
+            let op = Observation {
+                origin: node.id,
+                seq: node.seq,
+                round,
+                config: sample.config.clone(),
+                observed: sample.observed_metrics(),
+            };
+            node.seq += 1;
+            match &mut node.sync {
                 NodeSync::Star(s) => {
-                    // Everything unacked goes (back) out every round;
-                    // the broker deduplicates and acks a contiguous
-                    // watermark.
-                    if !s.unacked.is_empty() {
-                        let ops: Vec<Observation> = s.unacked.values().cloned().collect();
-                        self.net.send(id, BROKER, WireMessage::Ops { ops });
-                    }
-                    if sync_due {
-                        let versions = s.versions.clone();
-                        self.net
-                            .send(id, BROKER, WireMessage::SyncRequest { versions });
-                    }
+                    s.unacked.insert(op.seq, op);
                 }
                 NodeSync::Gossip(g) => {
-                    let targets = gossip_targets(&active_ids, id, &self.dist.topology, round);
-                    if !targets.is_empty() {
-                        let outbox = std::mem::take(&mut g.outbox);
-                        let summary = if sync_due {
-                            Some(g.replica.summary())
-                        } else {
-                            None
-                        };
-                        for (i, &target) in targets.iter().enumerate() {
-                            if !outbox.is_empty() {
-                                self.net.send(
-                                    id,
-                                    target,
-                                    WireMessage::Ops {
-                                        ops: outbox.clone(),
-                                    },
-                                );
-                            }
-                            if i == 0 {
-                                if let Some(counts) = &summary {
-                                    self.net.send(
-                                        id,
-                                        target,
-                                        WireMessage::Summary {
-                                            counts: counts.clone(),
-                                            reply: true,
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    } else {
-                        g.outbox.clear();
-                    }
+                    g.replica.insert(op.clone());
+                    g.outbox.push(op);
                 }
             }
-            if !self.nodes[idx].joined && sync_due {
-                self.resend_join(idx);
-            }
         }
+        self.send_traffic(round.is_multiple_of(self.dist.sync_interval), false);
     }
 
     /// Drain-time repair traffic: resend everything pending and
     /// request reconciliation from every active node.
     fn anti_entropy(&mut self) {
+        self.send_traffic(true, true);
+    }
+
+    /// Every active node's exchange traffic for this round. Star nodes
+    /// resend everything unacked; gossip nodes rumor their outbox to
+    /// their rotation targets (only the first one in a `repair` round).
+    /// With `sync`, star nodes add an epoch-vector request, gossip
+    /// nodes a summary to their first target, and unwelcomed joiners
+    /// resend their join.
+    fn send_traffic(&mut self, sync: bool, repair: bool) {
         let round = self.rounds;
-        let active_ids: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|n| n.active)
-            .map(|n| n.id)
-            .collect();
+        let active_ids = self.active_ids();
         for idx in 0..self.nodes.len() {
             if !self.nodes[idx].active {
                 continue;
             }
             let id = self.nodes[idx].id;
             match &mut self.nodes[idx].sync {
-                NodeSync::Star(s) => {
-                    if !s.unacked.is_empty() {
-                        let ops: Vec<Observation> = s.unacked.values().cloned().collect();
-                        self.net.send(id, BROKER, WireMessage::Ops { ops });
-                    }
-                    let versions = s.versions.clone();
-                    self.net
-                        .send(id, BROKER, WireMessage::SyncRequest { versions });
-                }
+                NodeSync::Star(s) => star_resend(&mut self.net, id, s, sync),
                 NodeSync::Gossip(g) => {
-                    let targets = gossip_targets(&active_ids, id, &self.dist.topology, round);
-                    if let Some(&target) = targets.first() {
-                        let outbox = std::mem::take(&mut g.outbox);
+                    let mut targets = gossip_targets(&active_ids, id, &self.dist.topology, round);
+                    if repair {
+                        targets.truncate(1);
+                    }
+                    // Without a target, a repair round keeps the rumors
+                    // for later; a regular round drops them.
+                    let outbox = if targets.is_empty() && repair {
+                        Vec::new()
+                    } else {
+                        std::mem::take(&mut g.outbox)
+                    };
+                    for (i, &target) in targets.iter().enumerate() {
                         if !outbox.is_empty() {
-                            self.net.send(id, target, WireMessage::Ops { ops: outbox });
+                            let ops = outbox.clone();
+                            self.net.send(id, target, WireMessage::Ops { ops });
                         }
-                        self.net.send(
-                            id,
-                            target,
-                            WireMessage::Summary {
-                                counts: g.replica.summary(),
+                        if i == 0 && sync {
+                            let counts = g.replica.summary();
+                            let summary = WireMessage::Summary {
+                                counts,
                                 reply: true,
-                            },
-                        );
+                            };
+                            self.net.send(id, target, summary);
+                        }
                     }
                 }
             }
-            if !self.nodes[idx].joined {
+            if sync && !self.nodes[idx].joined {
                 self.resend_join(idx);
             }
         }
@@ -1202,6 +1023,8 @@ impl DistributedFleet {
         true
     }
 
+    /// Announces node `idx` with [`WireMessage::Join`] (to the broker,
+    /// or to a gossip seed peer).
     fn resend_join(&mut self, idx: usize) {
         let id = self.nodes[idx].id;
         match self.dist.topology {
@@ -1210,10 +1033,20 @@ impl DistributedFleet {
                 if let Some(seed) = self.seed_peer(id) {
                     self.net.send(id, seed, WireMessage::Join { node: id });
                 } else {
+                    // Nobody to learn from: the sole member needs no
+                    // snapshot.
                     self.nodes[idx].joined = true;
                 }
             }
         }
+    }
+
+    fn active_ids(&self) -> Vec<NodeId> {
+        self.nodes
+            .iter()
+            .filter(|n| n.active)
+            .map(|n| n.id)
+            .collect()
     }
 
     /// The lowest-id active node other than `id` (who a gossip joiner
@@ -1288,39 +1121,72 @@ impl DistributedFleet {
     }
 }
 
-impl FleetRuntime for DistributedFleet {
-    /// Rounds until every active node's own virtual clock has reached
-    /// the absolute time `t_s`; one scheduler event is one
-    /// synchronized round (tick, deliver, adopt, step, publish). From
-    /// a fresh boot this is exactly the historical `run_for(t_s)`
-    /// round sequence, bit-identically.
-    fn run_until(&mut self, t_s: f64) -> u64 {
-        let deadlines = vec![t_s; self.nodes.len()];
-        self.rounds_to_deadlines(&deadlines)
+impl Lockstep for DistributedFleet {
+    fn clocks(&self) -> Vec<(bool, f64)> {
+        self.nodes
+            .iter()
+            .map(|n| (n.active, n.app.now_s()))
+            .collect()
     }
 
-    /// Runs `n` synchronized rounds (stopping early once no node is
-    /// active); returns the rounds run.
-    fn run_events(&mut self, n: u64) -> u64 {
-        for done in 0..n {
-            if self.step_round_inner() == 0 {
-                return done;
+    /// Ticks the virtual clock, then runs the deliver, adopt, step and
+    /// publish phases.
+    fn round_with(&mut self, due: &[bool]) -> usize {
+        assert_eq!(due.len(), self.nodes.len());
+        self.net.tick();
+        self.deliver_phase();
+        self.adopt_phase();
+        let stepped = self.step_phase(due);
+        let steps = stepped.iter().filter(|s| s.is_some()).count();
+        self.publish_phase(&stepped);
+        self.rounds += 1;
+        if !self.observers.is_empty() {
+            // Sequential, after the barrier: observers see the round's
+            // steps in node order, then each node's publish with its
+            // own post-round epoch view. Pure consumers — the round is
+            // bit-identical with or without them.
+            for (idx, sample) in stepped.iter().enumerate() {
+                let Some(sample) = sample else { continue };
+                self.observers.emit(FleetEvent::Stepped {
+                    id: dense_id(idx),
+                    t_start_s: sample.t_start_s,
+                    time_s: sample.time_s,
+                    power_w: sample.power_w,
+                    forced: sample.forced,
+                });
+            }
+            for (idx, sample) in stepped.iter().enumerate() {
+                let Some(sample) = sample else { continue };
+                // The distributed epoch is the node's own view: the
+                // sum of its per-shard epoch vector (monotone under
+                // broadcast/fold progress).
+                let epoch = self.epoch_vector(idx).iter().sum();
+                self.observers.emit(FleetEvent::Published {
+                    id: dense_id(idx),
+                    t_s: sample.t_start_s + sample.time_s,
+                    epoch,
+                });
             }
         }
-        n
+        steps
     }
 
-    fn observe(&mut self, observer: EventObserver) {
-        self.observers.push(observer);
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.observers
     }
+}
 
-    /// The furthest virtual clock any node has reached.
-    fn virtual_now_s(&self) -> f64 {
-        self.nodes.iter().map(|n| n.app.now_s()).fold(0.0, f64::max)
+/// A star node's retransmission: everything unacked goes (back) out —
+/// the broker deduplicates and acks a contiguous watermark — plus, with
+/// `sync`, an epoch-vector reconciliation request.
+fn star_resend(net: &mut SimNet, id: NodeId, s: &StarState, sync: bool) {
+    if !s.unacked.is_empty() {
+        let ops: Vec<Observation> = s.unacked.values().cloned().collect();
+        net.send(id, BROKER, WireMessage::Ops { ops });
     }
-
-    fn active_count(&self) -> usize {
-        self.active_instances()
+    if sync {
+        let versions = s.versions.clone();
+        net.send(id, BROKER, WireMessage::SyncRequest { versions });
     }
 }
 
@@ -1347,11 +1213,8 @@ fn gossip_targets(
 
 #[cfg(test)]
 mod tests {
-    // The pinned reference tests exercise the deprecated round surface
-    // on purpose: it must stay bit-identical until removal.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::events::FleetRuntime;
     use crate::toolchain::Toolchain;
     use crate::transport::LinkConfig;
     use polybench::{App, Dataset};
@@ -1434,8 +1297,16 @@ mod tests {
             fleet.spawn(&Rank::throughput_per_watt2(), 9, 3);
             fleet
         };
+        // run_until(t) is the explicit per-node-deadline round loop,
+        // bit for bit.
         let mut legacy = boot();
-        legacy.run_for(2.0);
+        loop {
+            let due: Vec<bool> = (0..3).map(|id| legacy.now_s(id) < 2.0).collect();
+            if !due.contains(&true) {
+                break;
+            }
+            legacy.round_with(&due);
+        }
         let mut unified = boot();
         let rounds = unified.run_until(2.0);
         assert!(rounds > 0);
@@ -1554,7 +1425,7 @@ mod tests {
         fleet.spawn(&Rank::throughput_per_watt2(), 3, 3);
         assert_eq!(fleet.active_instances(), 3);
         for _ in 0..4 {
-            assert_eq!(fleet.step_round(), 3);
+            assert_eq!(fleet.round(), 3);
         }
         assert_eq!(fleet.drain().unwrap(), 0, "an ideal link has no backlog");
         assert!(fleet.converged());
@@ -1591,7 +1462,7 @@ mod tests {
         let mut fleet = DistributedFleet::new(dist_config(dist), &enhanced).unwrap();
         fleet.spawn(&Rank::throughput_per_watt2(), 5, 4);
         for _ in 0..6 {
-            fleet.step_round();
+            fleet.round();
         }
         fleet.drain().expect("a 30% loss model must drain");
         assert!(fleet.converged());
@@ -1612,11 +1483,11 @@ mod tests {
             DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
         fleet.spawn(&Rank::throughput_per_watt2(), 7, 2);
         for _ in 0..5 {
-            fleet.step_round();
+            fleet.round();
         }
         let late = fleet.add_instance(Rank::throughput_per_watt2(), enhanced.platform.machine(99));
         for _ in 0..5 {
-            fleet.step_round();
+            fleet.round();
         }
         fleet.drain().unwrap();
         assert_eq!(
@@ -1635,7 +1506,7 @@ mod tests {
         // distributed deployment ships.
         let mut donor = crate::fleet::Fleet::new(FleetConfig::default()).unwrap();
         donor.spawn(&enhanced, &Rank::throughput_per_watt2(), 3, 2);
-        donor.run_for(2.0);
+        donor.run_until(2.0);
         let snapshot = donor
             .knowledge_snapshot(
                 App::TwoMm,
@@ -1662,11 +1533,11 @@ mod tests {
         for id in 0..2 {
             assert_eq!(fleet.node_knowledge(id), warmed, "node {id} booted cold");
         }
-        fleet.step_round();
+        fleet.round();
         // A churn joiner is welcomed with the warmed (and since
         // updated) knowledge, never the cold design state.
         let late = fleet.add_instance(Rank::throughput_per_watt2(), enhanced.platform.machine(42));
-        fleet.step_round();
+        fleet.round();
         fleet.drain().unwrap();
         assert_eq!(fleet.node_knowledge(late), fleet.authoritative_knowledge());
         assert_ne!(fleet.node_knowledge(late), enhanced.knowledge);
@@ -1678,11 +1549,11 @@ mod tests {
         let mut fleet =
             DistributedFleet::new(dist_config(DistributedConfig::default()), &enhanced).unwrap();
         fleet.spawn(&Rank::throughput_per_watt2(), 3, 3);
-        fleet.step_round();
+        fleet.round();
         assert!(fleet.retire_instance(0));
         assert!(!fleet.retire_instance(0), "already retired");
         let frozen = fleet.trace(0).len();
-        assert_eq!(fleet.step_round(), 2);
+        assert_eq!(fleet.round(), 2);
         assert_eq!(fleet.trace(0).len(), frozen);
         fleet.drain().unwrap();
         assert_eq!(fleet.node_knowledge(1), fleet.node_knowledge(2));

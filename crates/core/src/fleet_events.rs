@@ -19,7 +19,8 @@
 //! - The scheduler is a binary heap of `(virtual time, sequence)`
 //!   events. An instance's next step is an event keyed by its own
 //!   kernel runtime, so fast instances naturally step more often —
-//!   the behaviour `run_for` approximated with per-instance deadlines.
+//!   the behaviour the lockstep rounds approximate with per-instance
+//!   deadlines.
 //! - Knowledge merges happen **per publish event**
 //!   ([`margot::SharedKnowledge::publish_into`]): the observation
 //!   folds into the columnar arena and the changed point patches the
@@ -44,18 +45,19 @@
 //! shared effective knowledge directly, one selection per pool.
 
 use crate::error::SocratesError;
-use crate::events::{EventObserver, FleetEvent, FleetRuntime, InstanceId};
-use crate::fleet::{warm_validation_queue, FleetConfig, Schedule, FLEET_POWER_PRIORITY};
+use crate::events::{EventObserver, FleetEvent, FleetRuntime, InstanceId, Observers};
+use crate::fleet::{
+    core_for, pruned_counts, FleetConfig, PoolCore, Schedule, FLEET_POWER_PRIORITY,
+};
 use crate::toolchain::EnhancedApp;
-use dse::ExplorationSchedule;
-use margot::{Cmp, Constraint, Knowledge, Metric, MetricValues, Rank, SharedKnowledge};
+use margot::{Cmp, Constraint, Knowledge, Metric, MetricValues, Rank};
 use platform_sim::{Execution, KnobConfig, Machine, WorkloadProfile};
 use polybench::App;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 
 /// What a queued scheduler event does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,12 +166,7 @@ fn share_constraint(share_w: Option<f64>) -> Option<Constraint> {
 /// One shared-knowledge pool of the event runtime: all instances of
 /// the same enhanced application publish into and select from it.
 struct EventPool {
-    app: App,
-    design: Knowledge<KnobConfig>,
-    shared: SharedKnowledge<KnobConfig>,
-    schedule: ExplorationSchedule<KnobConfig>,
-    /// Warm-boot re-validation queue as design positions.
-    burst: VecDeque<usize>,
+    core: PoolCore,
     rank: Rank,
     /// The pool's base machine: the timing/power model every instance
     /// shares, and the seed all noise streams derive from.
@@ -188,8 +185,12 @@ struct EventPool {
     exec: Vec<Option<Execution>>,
     selection: Selection,
     live: usize,
-    pruned_infeasible: u64,
-    pruned_dominated: u64,
+}
+
+impl AsRef<PoolCore> for EventPool {
+    fn as_ref(&self) -> &PoolCore {
+        &self.core
+    }
 }
 
 impl EventPool {
@@ -362,7 +363,7 @@ pub struct EventFleet {
     /// Order-sensitive FNV-1a fold of every processed event — the
     /// replayability fingerprint ([`EventFleet::event_digest`]).
     digest: u64,
-    observers: Vec<EventObserver>,
+    observers: Observers,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -409,7 +410,7 @@ impl EventFleet {
             events: 0,
             stale_dropped: 0,
             digest: FNV_OFFSET,
-            observers: Vec::new(),
+            observers: Observers::default(),
         })
     }
 
@@ -505,29 +506,18 @@ impl EventFleet {
     ///
     /// Panics if the budget is not positive and finite.
     pub fn set_power_budget(&mut self, budget_w: Option<f64>) {
-        if let Some(w) = budget_w {
-            assert!(
-                w.is_finite() && w > 0.0,
-                "power budget {w} W must be positive"
-            );
-        }
-        self.config.power_budget_w = budget_w;
+        self.config.set_power_budget(budget_w);
     }
 
     /// Each live instance's current power allocation, watts.
     pub fn power_share_w(&self) -> Option<f64> {
-        match self.config.power_budget_w {
-            Some(w) if self.live_count > 0 => Some(w / self.live_count as f64),
-            _ => None,
-        }
+        self.config.power_share_w(self.live_count)
     }
 
     /// Whether `id` is a live instance (stale handles return `false`
     /// forever; they never alias a successor).
     pub fn is_live(&self, id: InstanceId) -> bool {
-        self.slots
-            .get(id.slot() as usize)
-            .is_some_and(|s| s.live && s.generation == id.generation())
+        self.live_slot(id).is_some()
     }
 
     /// Instance `id`'s own virtual clock, or `None` for stale handles.
@@ -577,37 +567,24 @@ impl EventFleet {
     /// The current merged (online) knowledge for `app`, or `None` if
     /// no instance of it was ever admitted.
     pub fn learned_knowledge(&self, app: App) -> Option<Knowledge<KnobConfig>> {
-        self.pools
-            .iter()
-            .find(|p| p.app == app)
-            .map(|p| p.shared.knowledge())
+        core_for(&self.pools, app).map(|p| p.shared.knowledge())
     }
 
     /// The shared-knowledge epoch for `app`, or `None` if unknown.
     pub fn knowledge_epoch(&self, app: App) -> Option<u64> {
-        self.pools
-            .iter()
-            .find(|p| p.app == app)
-            .map(|p| p.shared.epoch())
+        core_for(&self.pools, app).map(|p| p.shared.epoch())
     }
 
     /// Online design-space coverage for `app`: `(covered, total)`.
     pub fn exploration_coverage(&self, app: App) -> Option<(usize, usize)> {
-        self.pools.iter().find(|p| p.app == app).map(|p| {
-            (
-                p.schedule.total() - p.schedule.remaining(),
-                p.schedule.total(),
-            )
-        })
+        core_for(&self.pools, app).map(PoolCore::coverage)
     }
 
     /// Configurations the static analyzer pruned from the exploration
     /// schedules: `(infeasible, dominated)` — 0 unless
     /// [`FleetConfig::analysis_prune`].
     pub fn schedule_pruned(&self) -> (u64, u64) {
-        self.pools.iter().fold((0, 0), |(i, d), p| {
-            (i + p.pruned_infeasible, d + p.pruned_dominated)
-        })
+        pruned_counts(&self.pools)
     }
 
     fn live_slot(&self, id: InstanceId) -> Option<&Slot> {
@@ -616,80 +593,35 @@ impl EventFleet {
             .filter(|s| s.live && s.generation == id.generation())
     }
 
-    /// Finds (or creates) the pool for an enhanced app — keyed by
-    /// application *and* design knowledge, like the lockstep runtime.
+    /// Finds (or creates) the pool for an enhanced app — keyed like
+    /// the lockstep runtime's ([`PoolCore::serves`]).
     fn pool_for(&mut self, enhanced: &EnhancedApp, rank: &Rank, base: &Machine) -> usize {
-        if let Some(i) = self
-            .pools
-            .iter()
-            .position(|p| p.app == enhanced.app && p.design == enhanced.knowledge)
-        {
+        if let Some(i) = self.pools.iter().position(|p| p.core.serves(enhanced)) {
             return i;
         }
-        let mut sweep: Vec<KnobConfig> = enhanced
+        let (core, seeded) = PoolCore::new(&self.config, enhanced, rank);
+        let configs: Vec<KnobConfig> = enhanced
             .knowledge
             .points()
             .iter()
             .map(|p| p.config.clone())
             .collect();
-        let configs = sweep.clone();
-        let (mut pruned_infeasible, mut pruned_dominated) = (0u64, 0u64);
-        if self.config.analysis_prune {
-            let pruned = crate::engine::analysis_prune(enhanced, sweep);
-            pruned_infeasible = pruned.infeasible as u64;
-            pruned_dominated = pruned.dominated as u64;
-            sweep = pruned.kept;
-        }
         let pos_index: HashMap<KnobConfig, usize> = configs
             .iter()
             .enumerate()
             .map(|(i, c)| (c.clone(), i))
             .collect();
-        let seeded = match &self.config.warm_start {
-            Some(snapshot) => snapshot.apply_to_design(&enhanced.knowledge),
-            None => enhanced.knowledge.clone(),
-        };
-        let shared = SharedKnowledge::new(seeded.clone(), self.config.knowledge_window)
-            .with_min_observations(self.config.min_observations)
-            .with_shards(self.config.knowledge_shards);
-        let mut burst = VecDeque::new();
-        if let Some(snapshot) = &self.config.warm_start {
-            let copies = self.config.warm_seed_copies_for(enhanced.app);
-            if copies > 0 {
-                shared.seed_observations(&snapshot.knowledge, copies);
-            }
-            // Same head re-validation queue as the lockstep boot, as
-            // design positions; configurations foreign to this design
-            // space cannot be executed and are skipped.
-            burst = warm_validation_queue(
-                snapshot,
-                rank,
-                self.config
-                    .knowledge_window
-                    .min(crate::fleet::WARM_HEAD_PASSES),
-            )
-            .into_iter()
-            .filter_map(|cfg| pos_index.get(&cfg).copied())
-            .collect();
-        }
-        let exec = vec![None; configs.len()];
         self.pools.push(EventPool {
-            app: enhanced.app,
-            design: enhanced.knowledge.clone(),
-            shared,
-            schedule: ExplorationSchedule::new(sweep),
-            burst,
+            core,
             rank: rank.clone(),
             machine: base.clone(),
             profile: enhanced.profile.clone(),
+            exec: vec![None; configs.len()],
             configs,
             pos_index,
             cache: seeded,
-            exec,
             selection: Selection::invalid(),
             live: 0,
-            pruned_infeasible,
-            pruned_dominated,
         });
         self.pools.len() - 1
     }
@@ -731,7 +663,7 @@ impl EventFleet {
         // lazily at its next step.
         self.invalidate_selections();
         self.push(t_s, Action::Step(id));
-        self.emit(FleetEvent::Arrived { id, t_s });
+        self.observers.emit(FleetEvent::Arrived { id, t_s });
         id
     }
 
@@ -744,7 +676,7 @@ impl EventFleet {
         self.pools[pool].live -= 1;
         self.retired += 1;
         self.invalidate_selections();
-        self.emit(FleetEvent::Retired { id, t_s });
+        self.observers.emit(FleetEvent::Retired { id, t_s });
     }
 
     fn invalidate_selections(&mut self) {
@@ -761,12 +693,6 @@ impl EventFleet {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(QueuedEvent { t_s, seq, action }));
-    }
-
-    fn emit(&mut self, event: FleetEvent) {
-        for observer in &mut self.observers {
-            observer(&event);
-        }
     }
 
     /// Processes the next queued event; returns `false` on an empty
@@ -825,10 +751,14 @@ impl EventFleet {
         // Configuration choice: warm-boot validation outranks the
         // cooperative sweep outranks planned selection — the lockstep
         // assignment policy, keyed to this instance's step counter.
-        let (pos, forced) = if let Some(pos) = pool.burst.pop_front() {
+        // Validation configurations foreign to this design space cannot
+        // be executed and are skipped.
+        let validation = std::iter::from_fn(|| pool.core.burst.pop_front())
+            .find_map(|cfg| pool.pos_index.get(&cfg).copied());
+        let (pos, forced) = if let Some(pos) = validation {
             (pos, true)
         } else if share_knowledge && interval > 0 && steps % interval == interval - 1 {
-            match pool.schedule.peek_unexplored() {
+            match pool.core.schedule.peek_unexplored() {
                 // Peek, don't claim: the claim lands at publish below,
                 // so a step that never publishes leaves no hole.
                 Some(cfg) => (
@@ -853,7 +783,8 @@ impl EventFleet {
         let epoch = if share_knowledge {
             let observed = MetricValues::from_execution(time_s, power_w);
             let published =
-                pool.shared
+                pool.core
+                    .shared
                     .publish_into(&pool.configs[pos], &observed, &mut pool.cache);
             let (ppos, changed) = published.expect("design configs are known points");
             debug_assert_eq!(ppos, pos, "pool configs are in shared position order");
@@ -862,8 +793,8 @@ impl EventFleet {
             }
             // Publish-time claim: forced sweep assignments and organic
             // selections both count as coverage only once observed.
-            pool.schedule.claim(&pool.configs[pos]);
-            Some(pool.shared.epoch())
+            pool.core.schedule.claim(&pool.configs[pos]);
+            Some(pool.core.shared.epoch())
         } else {
             None
         };
@@ -877,7 +808,7 @@ impl EventFleet {
         self.digest = fnv_fold(self.digest, time_s.to_bits());
         self.digest = fnv_fold(self.digest, power_w.to_bits());
         if !self.observers.is_empty() {
-            self.emit(FleetEvent::Stepped {
+            self.observers.emit(FleetEvent::Stepped {
                 id,
                 t_start_s: t_s,
                 time_s,
@@ -885,7 +816,7 @@ impl EventFleet {
                 forced,
             });
             if let Some(epoch) = epoch {
-                self.emit(FleetEvent::Published {
+                self.observers.emit(FleetEvent::Published {
                     id,
                     t_s: t_s + time_s,
                     epoch,
@@ -1194,7 +1125,7 @@ mod tests {
         fleet.spawn(&enhanced, &rank(), 7, 4);
         fleet.run_events(200);
         let pool = &fleet.pools[0];
-        assert_eq!(pool.cache, pool.shared.knowledge());
+        assert_eq!(pool.cache, pool.core.shared.knowledge());
     }
 
     #[test]
@@ -1509,9 +1440,9 @@ mod tests {
         assert_ne!(boot, enhanced.knowledge);
         // The head re-validation burst is queued at boot and drains as
         // the warm instances step.
-        let queued = warm.pools[0].burst.len();
+        let queued = warm.pools[0].core.burst.len();
         assert!(queued > 0, "warm boot must queue a validation burst");
         warm.run_until(5.0);
-        assert!(warm.pools[0].burst.len() < queued, "burst must drain");
+        assert!(warm.pools[0].core.burst.len() < queued, "burst must drain");
     }
 }

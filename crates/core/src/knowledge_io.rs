@@ -108,56 +108,15 @@ pub fn load_knowledge(path: impl AsRef<Path>) -> Result<Knowledge<KnobConfig>, S
     knowledge_from_json(&json)
 }
 
-/// Serialises a knowledge delta to a JSON string — the wire form the
-/// distributed runtime ships between broker and nodes. The schema is
-/// pinned by `tests/golden/knowledge_delta.json`.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on serialisation failure
-/// (never happens for well-formed deltas).
-pub fn delta_to_json(delta: &KnowledgeDelta<KnobConfig>) -> Result<String, SocratesError> {
-    serde_json::to_string_pretty(delta).map_err(|e| SocratesError::format("knowledge delta", e))
-}
-
-/// Parses a knowledge delta from a JSON string.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on malformed input.
-pub fn delta_from_json(json: &str) -> Result<KnowledgeDelta<KnobConfig>, SocratesError> {
-    serde_json::from_str(json).map_err(|e| SocratesError::format("knowledge delta", e))
-}
-
-/// Serialises a wire message of the distributed knowledge exchange to
-/// a JSON string. The schema is pinned by
-/// `tests/golden/wire_messages.json`.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on serialisation failure
-/// (never happens for well-formed messages).
-pub fn wire_to_json(msg: &WireMessage) -> Result<String, SocratesError> {
-    serde_json::to_string_pretty(msg).map_err(|e| SocratesError::format("wire message", e))
-}
-
-/// Parses a wire message from a JSON string.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on malformed input.
-pub fn wire_from_json(json: &str) -> Result<WireMessage, SocratesError> {
-    serde_json::from_str(json).map_err(|e| SocratesError::format("wire message", e))
-}
-
 // ---------------------------------------------------------------------------
 // Binary wire codec
 // ---------------------------------------------------------------------------
 //
-// The runtime wire format of the distributed knowledge exchange. JSON
-// stays as the *pinned compatibility layer* (the golden files and the
-// persistence paths above); everything that travels through
-// [`crate::transport::SimNet`] is encoded with this length-prefixed binary codec.
+// The runtime wire format of the distributed knowledge exchange:
+// everything that travels through [`crate::transport::SimNet`] is
+// encoded with this length-prefixed binary codec, pinned by the binary
+// golden files under `tests/golden/`. JSON is only the knowledge
+// *persistence* format above.
 //
 // Format, all integers little-endian:
 //
@@ -278,6 +237,15 @@ pub(crate) fn put_observation(out: &mut Vec<u8>, o: &Observation) {
     put_metrics(out, &o.observed);
 }
 
+/// An epoch or version vector: the encoding [`ByteReader::versions`]
+/// reads.
+pub(crate) fn put_versions(out: &mut Vec<u8>, versions: &[u64]) {
+    put_len(out, versions.len());
+    for v in versions {
+        put_u64(out, *v);
+    }
+}
+
 pub(crate) fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) {
     match msg {
         WireMessage::Join { node } => {
@@ -306,10 +274,7 @@ pub(crate) fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) {
         }
         WireMessage::SyncRequest { versions } => {
             put_u8(out, 5);
-            put_len(out, versions.len());
-            for v in versions {
-                put_u64(out, *v);
-            }
+            put_versions(out, versions);
         }
         WireMessage::SyncResponse {
             shard,
@@ -340,10 +305,7 @@ pub(crate) fn put_wire(out: &mut Vec<u8>, msg: &WireMessage) {
         } => {
             put_u8(out, 8);
             put_knowledge(out, knowledge);
-            put_len(out, versions.len());
-            for v in versions {
-                put_u64(out, *v);
-            }
+            put_versions(out, versions);
         }
         WireMessage::WelcomeLog { ops } => {
             put_u8(out, 9);
@@ -410,8 +372,15 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// A length prefix. Every encoded element takes at least one byte,
+    /// so a count beyond the remaining input is a corrupt frame —
+    /// rejected before a caller sizes an allocation by it.
     pub(crate) fn len(&mut self) -> Result<usize, SocratesError> {
-        Ok(self.u32()? as usize)
+        let n = self.u32()? as usize;
+        if n > self.buf.len() - self.pos {
+            return Err(Self::err("length prefix exceeds the input"));
+        }
+        Ok(n)
     }
 
     pub(crate) fn str(&mut self) -> Result<&'a str, SocratesError> {
@@ -677,57 +646,6 @@ mod tests {
         let back = load_knowledge(&path).unwrap();
         assert_eq!(k, back);
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn delta_round_trips_through_json() {
-        let k = sample_knowledge();
-        let delta = margot::KnowledgeDelta {
-            from_epoch: 3,
-            to_epoch: 5,
-            changed: vec![(0, k.points()[0].clone()), (2, k.points()[2].clone())],
-        };
-        let json = delta_to_json(&delta).unwrap();
-        let back = delta_from_json(&json).unwrap();
-        assert_eq!(delta, back);
-    }
-
-    #[test]
-    fn wire_messages_round_trip_through_json() {
-        let k = sample_knowledge();
-        let msgs = vec![
-            WireMessage::Join { node: 3 },
-            WireMessage::Ack { count: 7 },
-            WireMessage::Delta {
-                shard: 2,
-                delta: margot::KnowledgeDelta {
-                    from_epoch: 0,
-                    to_epoch: 1,
-                    changed: vec![(1, k.points()[1].clone())],
-                },
-            },
-            WireMessage::SyncRequest {
-                versions: vec![0, 4, 2],
-            },
-            WireMessage::Welcome {
-                knowledge: k.clone(),
-                versions: vec![1, 1, 0],
-            },
-        ];
-        for msg in msgs {
-            let json = wire_to_json(&msg).unwrap();
-            let back = wire_from_json(&json).unwrap();
-            assert_eq!(msg, back);
-        }
-    }
-
-    #[test]
-    fn malformed_delta_is_a_format_error() {
-        let err = delta_from_json("{not json").unwrap_err();
-        assert!(matches!(err, SocratesError::Format { .. }));
-        assert_eq!(err.stage(), StageId::Persist);
-        let err = wire_from_json("42").unwrap_err();
-        assert!(matches!(err, SocratesError::Format { .. }));
     }
 
     #[test]

@@ -49,7 +49,8 @@
 
 use crate::error::SocratesError;
 use crate::knowledge_io::{
-    put_delta, put_knowledge, put_len, put_str, put_u32, put_u64, write_atomic_bytes, ByteReader,
+    put_delta, put_knowledge, put_str, put_u32, put_u64, put_versions, write_atomic_bytes,
+    ByteReader,
 };
 use crate::toolchain::Toolchain;
 use margot::{shard_content_hash, shard_index, Knowledge, KnowledgeDelta, SharedKnowledge};
@@ -257,10 +258,7 @@ impl KnowledgeSnapshot {
         put_u32(&mut out, SNAPSHOT_FORMAT_VERSION);
         put_fingerprint(&mut out, &self.fingerprint);
         put_u64(&mut out, self.epoch);
-        put_len(&mut out, self.shard_epochs.len());
-        for e in &self.shard_epochs {
-            put_u64(&mut out, *e);
-        }
+        put_versions(&mut out, &self.shard_epochs);
         put_knowledge(&mut out, &self.knowledge);
         out
     }
@@ -278,11 +276,7 @@ impl KnowledgeSnapshot {
         snapshot_version(&mut r)?;
         let fingerprint = read_fingerprint(&mut r)?;
         let epoch = r.u64()?;
-        let n = r.len()?;
-        let mut shard_epochs = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_epochs.push(r.u64()?);
-        }
+        let shard_epochs = r.versions()?;
         let knowledge = r.knowledge()?;
         r.finish()?;
         Ok(KnowledgeSnapshot {
@@ -364,10 +358,7 @@ impl SnapshotDelta {
         out.extend_from_slice(&SNAPSHOT_DELTA_MAGIC);
         put_u32(&mut out, SNAPSHOT_FORMAT_VERSION);
         put_fingerprint(&mut out, &self.fingerprint);
-        put_len(&mut out, self.shard_epochs.len());
-        for e in &self.shard_epochs {
-            put_u64(&mut out, *e);
-        }
+        put_versions(&mut out, &self.shard_epochs);
         put_delta(&mut out, &self.delta);
         out
     }
@@ -384,11 +375,7 @@ impl SnapshotDelta {
         snapshot_magic(&mut r, SNAPSHOT_DELTA_MAGIC, "knowledge delta snapshot")?;
         snapshot_version(&mut r)?;
         let fingerprint = read_fingerprint(&mut r)?;
-        let n = r.len()?;
-        let mut shard_epochs = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_epochs.push(r.u64()?);
-        }
+        let shard_epochs = r.versions()?;
         let delta = r.delta()?;
         r.finish()?;
         Ok(SnapshotDelta {

@@ -18,9 +18,8 @@
 //!   On the wire, messages travel as length-prefixed **binary frames**
 //!   ([`crate::wire_to_bytes`]) — [`SimNet::send`] encodes once and
 //!   [`SimNet::poll_due`] decodes on delivery, so every distributed
-//!   test exercises the codec. The JSON encoding remains as the pinned
-//!   compatibility layer (golden files under `tests/golden/`,
-//!   serialisation helpers: [`crate::wire_to_json`]).
+//!   test exercises the codec. The frame layout is pinned by the
+//!   binary golden files under `tests/golden/`.
 //! - [`Replica`] — a replicated observation log with a **canonical
 //!   fold order**. Observations are totally ordered by `(round,
 //!   origin)`; a replica folds its log into a [`SharedKnowledge`] in
@@ -93,10 +92,9 @@ impl Observation {
     }
 }
 
-/// The serialisable knowledge-exchange protocol. JSON (de)serialisation
-/// lives in [`crate::wire_to_json`] / [`crate::wire_from_json`];
-/// the schema is pinned by
-/// `tests/golden/wire_messages.json`.
+/// The serialisable knowledge-exchange protocol. The binary codec
+/// lives in [`crate::wire_to_bytes`] / [`crate::wire_from_bytes`]; the
+/// frame layout is pinned by `tests/golden/wire_messages.bin`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WireMessage {
     /// A node announces itself (mid-run churn); answered with

@@ -9,15 +9,11 @@
 //! observed under loss/latency is attributable to the link model, not
 //! to the exchange protocol.
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::Rank;
 use polybench::{App, Dataset};
 use socrates::{
-    DistTopology, DistributedConfig, DistributedFleet, EnhancedApp, Fleet, FleetConfig, LinkConfig,
-    Toolchain,
+    DistTopology, DistributedConfig, DistributedFleet, EnhancedApp, Fleet, FleetConfig,
+    FleetRuntime, LinkConfig, Toolchain,
 };
 
 const INSTANCES: usize = 8;
@@ -61,7 +57,7 @@ type Learned = margot::Knowledge<platform_sim::KnobConfig>;
 fn run_reference(enhanced: &EnhancedApp, duration_s: f64) -> (Traces, Learned) {
     let mut fleet = Fleet::new(reference_config()).expect("valid config");
     fleet.spawn(enhanced, &Rank::throughput_per_watt2(), SEED, INSTANCES);
-    fleet.run_for(duration_s);
+    fleet.run_until(duration_s);
     let traces = (0..INSTANCES).map(|id| fleet.trace(id)).collect();
     (traces, fleet.learned_knowledge(App::TwoMm).unwrap())
 }
@@ -73,7 +69,7 @@ fn run_distributed(
 ) -> (Traces, Learned) {
     let mut fleet = DistributedFleet::new(dist_config(topology), enhanced).expect("valid config");
     fleet.spawn(&Rank::throughput_per_watt2(), SEED, INSTANCES);
-    fleet.run_for(duration_s);
+    fleet.run_until(duration_s);
     fleet.drain().expect("an ideal link drains immediately");
     assert!(fleet.converged());
     let traces = (0..INSTANCES).map(|id| fleet.trace(id)).collect();
@@ -121,7 +117,7 @@ fn parallel_and_serial_distributed_rounds_are_bit_identical() {
         config.parallel_step = parallel_step;
         let mut fleet = DistributedFleet::new(config, &enhanced).expect("valid config");
         fleet.spawn(&Rank::throughput_per_watt2(), SEED, INSTANCES);
-        fleet.run_for(5.0);
+        fleet.run_until(5.0);
         fleet.drain().expect("ideal link drains");
         (
             (0..INSTANCES).map(|id| fleet.trace(id)).collect::<Vec<_>>(),
@@ -140,7 +136,7 @@ fn repeated_distributed_runs_are_reproducible() {
             DistributedFleet::new(dist_config(DistTopology::Gossip { fanout: 2 }), &enhanced)
                 .expect("valid config");
         fleet.spawn(&Rank::throughput_per_watt2(), SEED, 4);
-        fleet.run_for(4.0);
+        fleet.run_until(4.0);
         fleet.drain().expect("ideal link drains");
         (
             (0..4).map(|id| fleet.trace(id)).collect::<Vec<_>>(),

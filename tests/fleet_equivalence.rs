@@ -7,13 +7,9 @@
 //! order. CI re-runs this file under forced `RAYON_NUM_THREADS` values
 //! (1, 2, 8), so the identity holds at any worker count.
 
-// These suites pin the deprecated round surface on purpose: it must
-// stay bit-identical to the unified FleetRuntime path until removal.
-#![allow(deprecated)]
-
 use margot::{Metric, Rank};
 use polybench::{App, Dataset};
-use socrates::{EnhancedApp, Fleet, FleetConfig, Toolchain};
+use socrates::{EnhancedApp, Fleet, FleetConfig, FleetRuntime, Toolchain};
 
 fn quick_enhanced(app: App) -> EnhancedApp {
     // Medium keeps kernel invocations ~50 ms of virtual time, so a
@@ -45,8 +41,8 @@ fn parallel_fleet_is_bit_identical_to_serial_reference() {
     let enhanced = quick_enhanced(App::TwoMm);
     let mut parallel = build_fleet(true, &enhanced);
     let mut serial = build_fleet(false, &enhanced);
-    parallel.run_for(10.0);
-    serial.run_for(10.0);
+    parallel.run_until(10.0);
+    serial.run_until(10.0);
     assert_eq!(parallel.rounds(), serial.rounds());
     for id in 0..8 {
         assert_eq!(
@@ -75,8 +71,8 @@ fn repeated_runs_are_reproducible() {
     let enhanced = quick_enhanced(App::TwoMm);
     let mut a = build_fleet(true, &enhanced);
     let mut b = build_fleet(true, &enhanced);
-    a.run_for(5.0);
-    b.run_for(5.0);
+    a.run_until(5.0);
+    b.run_until(5.0);
     for id in 0..8 {
         assert_eq!(a.trace(id), b.trace(id), "instance {id} diverged");
     }
@@ -103,7 +99,7 @@ fn sharded_incremental_path_matches_the_single_mutex_reference() {
         .expect("valid fleet config");
         fleet.spawn(&enhanced, &Rank::throughput_per_watt2(), 2018, 8);
         fleet.set_power_budget(Some(8.0 * 85.0));
-        fleet.run_for(6.0);
+        fleet.run_until(6.0);
         let traces: Vec<_> = (0..8).map(|id| fleet.trace(id)).collect();
         (
             traces,
@@ -127,14 +123,14 @@ fn membership_changes_mid_run_stay_deterministic() {
     let enhanced = quick_enhanced(App::TwoMm);
     let run = |parallel_step: bool| {
         let mut fleet = build_fleet(parallel_step, &enhanced);
-        fleet.run_for(3.0);
+        fleet.run_until(3.0);
         fleet.retire_instance(2);
         let late = fleet.add_instance(
             enhanced.clone(),
             Rank::minimize(Metric::exec_time()),
             enhanced.platform.machine(4242),
         );
-        fleet.run_for(3.0);
+        fleet.run_until(6.0);
         (0..=late).map(|id| fleet.trace(id)).collect::<Vec<_>>()
     };
     assert_eq!(run(true), run(false));

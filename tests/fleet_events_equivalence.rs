@@ -9,8 +9,9 @@
 //!    join/retire traffic, while the slot pool stays bounded by the
 //!    peak live count.
 //! 3. **Lockstep**: the unified [`FleetRuntime`] surface over
-//!    `Schedule::Lockstep` is bit-identical to the legacy
-//!    `step_round`/`run_for` loop on **every** polybench application.
+//!    `Schedule::Lockstep` is bit-identical to an explicit
+//!    per-instance-deadline round loop on **every** polybench
+//!    application.
 //!
 //! CI re-runs this file under forced `RAYON_NUM_THREADS` values
 //! (1, 2, 8), so the identities hold at any worker count.
@@ -200,14 +201,27 @@ fn churn_replay_never_reuses_handles() {
     );
 }
 
-/// Drives the legacy deprecated round loop for comparison; isolated in
-/// one function so the rest of the suite stays deprecation-clean.
-#[allow(deprecated)]
+/// The lockstep deadline loop spelled out round by round: an instance
+/// whose own clock reached the horizon leaves the round set, and the
+/// budget shrinks with it so every remaining instance keeps its 90 W
+/// share.
 fn legacy_run(enhanced: &EnhancedApp, horizon_s: f64) -> Vec<u64> {
     let mut fleet = Fleet::new(FleetConfig::default()).expect("valid fleet config");
     fleet.spawn(enhanced, &Rank::throughput_per_watt2(), 2018, 3);
     fleet.set_power_budget(Some(3.0 * 90.0));
-    fleet.run_for(horizon_s);
+    loop {
+        for id in 0..3 {
+            if fleet.now_s(id) >= horizon_s && fleet.retire_instance(id) {
+                let active = fleet.active_instances();
+                if active > 0 {
+                    fleet.set_power_budget(Some(active as f64 * 90.0));
+                }
+            }
+        }
+        if fleet.run_events(1) == 0 {
+            break;
+        }
+    }
     (0..3).map(|id| trace_digest(&fleet.trace(id))).collect()
 }
 
@@ -220,9 +234,8 @@ fn unified_run(enhanced: &EnhancedApp, horizon_s: f64) -> Vec<u64> {
 }
 
 /// `Schedule::Lockstep` under the unified [`FleetRuntime`] surface is
-/// the legacy round loop, bit for bit, on every polybench application
-/// — the compatibility contract that lets the deprecated surface go
-/// away without anyone noticing.
+/// the explicit round loop, bit for bit, on every polybench
+/// application.
 #[test]
 fn lockstep_runtime_matches_legacy_step_round_on_all_apps() {
     for app in App::ALL {
