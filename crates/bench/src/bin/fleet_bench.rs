@@ -22,9 +22,7 @@ use margot::{Metric, Rank};
 use platform_sim::KnobConfig;
 use polybench::App;
 use serde::Serialize;
-use socrates::{
-    EnhancedApp, ExecutionEngine, Fleet, FleetConfig, FleetRuntime, Toolchain, TraceSample,
-};
+use socrates::{EnhancedApp, Fleet, FleetConfig, FleetRuntime, Toolchain, TraceSample};
 use std::time::Instant;
 
 const DRIFT_FACTOR: f64 = 1.6;
@@ -35,7 +33,6 @@ const INSTANCES: usize = 8;
 #[derive(Serialize)]
 struct ScalingRow {
     instances: usize,
-    engine: String,
     virtual_seconds: f64,
     total_invocations: usize,
     invocations_per_virtual_s: f64,
@@ -61,31 +58,18 @@ struct ConvergenceRow {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    // `--engine {ast,bytecode}` selects the functional engine the
-    // fleet's kernels are lowered for (default: bytecode).
-    let engine: ExecutionEngine = match args.iter().position(|a| a == "--engine") {
-        Some(i) => args
-            .get(i + 1)
-            .expect("--engine needs a value")
-            .parse()
-            .unwrap_or_else(|e| panic!("{e}")),
-        None => ExecutionEngine::default(),
-    };
-    let toolchain = Toolchain {
-        engine,
-        ..Toolchain::default()
-    };
-    let enhanced = toolchain.enhance(App::TwoMm).expect("enhance 2mm");
+    let enhanced = Toolchain::default()
+        .enhance(App::TwoMm)
+        .expect("enhance 2mm");
 
-    println!("Fleet runtime — online knowledge sharing at deployment scale ({engine} engine)");
+    println!("Fleet runtime — online knowledge sharing at deployment scale");
     println!();
-    scaling_study(&enhanced, engine);
+    scaling_study(&enhanced);
     println!();
-    convergence_study(&enhanced, engine);
+    convergence_study(&enhanced);
 }
 
-fn scaling_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
+fn scaling_study(enhanced: &EnhancedApp) {
     println!("── N-instance throughput scaling (60 virtual seconds each) ──");
     println!(
         "{:>10} {:>14} {:>12} {:>14} {:>12}",
@@ -93,11 +77,7 @@ fn scaling_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
     );
     let mut rows = Vec::new();
     for n in [1usize, 2, 4, 8, 16] {
-        let mut fleet = Fleet::new(FleetConfig {
-            engine,
-            ..FleetConfig::default()
-        })
-        .expect("valid fleet config");
+        let mut fleet = Fleet::new(FleetConfig::default()).expect("valid fleet config");
         fleet.spawn(enhanced, &Rank::throughput_per_watt2(), 2018, n);
         let wall = Instant::now();
         fleet.run_until(60.0);
@@ -106,7 +86,6 @@ fn scaling_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
         let stats = fleet.stats();
         let row = ScalingRow {
             instances: n,
-            engine: engine.label().to_string(),
             virtual_seconds: 60.0,
             total_invocations: total,
             invocations_per_virtual_s: total as f64 / 60.0,
@@ -127,7 +106,7 @@ fn scaling_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
     socrates_bench::write_json("fleet_scaling", &rows);
 }
 
-fn convergence_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
+fn convergence_study(enhanced: &EnhancedApp) {
     println!("── Online knowledge vs frozen design-time knowledge under drift ──");
     println!(
         "deployment drift: {DRIFT_FACTOR}x per-core dynamic power (idle floor unchanged), \
@@ -156,7 +135,6 @@ fn convergence_study(enhanced: &EnhancedApp, engine: ExecutionEngine) {
     for (mode, share) in [("online", true), ("frozen", false)] {
         let mut fleet = Fleet::new(FleetConfig {
             share_knowledge: share,
-            engine,
             ..FleetConfig::default()
         })
         .expect("valid fleet config");

@@ -20,8 +20,9 @@
 //! concurrent requests for its key: the first requester builds, the
 //! others wait for that build and share its value.
 
-use crate::engine::CompiledKernel;
+use crate::engine::{CompiledKernel, ExecutionEngine};
 use crate::error::SocratesError;
+use crate::knowledge_io::{read_knowledge, write_knowledge};
 use crate::snapshot::{nearest_neighbour, KnowledgeSnapshot, SNAPSHOT_FORMAT_VERSION};
 use crate::toolchain::{fnv, Toolchain};
 use cobayn::{iterative_compilation, Cobayn, CobaynConfig, TrainingApp};
@@ -93,10 +94,11 @@ pub struct ProfiledKnowledge {
 
 /// Version stamp of the persisted-knowledge artifacts. The config
 /// fingerprint only covers *configuration*; bump this whenever the
-/// profiling semantics themselves change (DSE enumeration, platform
-/// model, noise derivation), so stale on-disk files from older code
-/// are treated as misses instead of silently reloaded.
-pub const KNOWLEDGE_FORMAT_VERSION: u32 = 1;
+/// file encoding or the profiling semantics change (DSE enumeration,
+/// platform model, noise derivation), so stale on-disk files from
+/// older code are treated as misses instead of silently reloaded.
+/// Version 2 is the binary codec; version 1 files were JSON.
+pub const KNOWLEDGE_FORMAT_VERSION: u32 = 2;
 
 /// Cache key: which application, which dataset, which toolchain
 /// configuration (fingerprint over every knob that can change a stage
@@ -133,9 +135,8 @@ pub struct StoreStats {
     /// Knowledge artifacts loaded from the persistence directory
     /// instead of being re-profiled.
     pub knowledge_loads: u64,
-    /// Kernel lowerings (one per `(app, dataset, config, threads,
-    /// engine)` — a fleet of instances sharing a configuration
-    /// compiles once).
+    /// Kernel lowerings (one per `(app, dataset, config, threads)` — a
+    /// fleet of instances sharing a configuration compiles once).
     pub kernel_builds: u64,
     /// Compiled-kernel lookups answered from cache.
     pub kernel_hits: u64,
@@ -184,9 +185,9 @@ struct Counters {
 /// batch enhancement (and reusable across repeated single enhancements).
 ///
 /// With a persistence directory ([`ArtifactStore::with_persist_dir`]),
-/// profiled knowledge round-trips through JSON on disk via the
-/// knowledge-file format ([`crate::save_knowledge`]): a cold store reloads previous DSE
-/// results instead of re-profiling.
+/// profiled knowledge round-trips through binary knowledge files on
+/// disk (the wire codec behind [`crate::WIRE_MAGIC`]): a cold store
+/// reloads previous DSE results instead of re-profiling.
 #[derive(Default)]
 pub struct ArtifactStore {
     persist_dir: Option<PathBuf>,
@@ -220,9 +221,9 @@ impl ArtifactStore {
         ArtifactStore::default()
     }
 
-    /// A store that persists profiled knowledge as JSON files under
-    /// `dir` (created on first save). Knowledge lookups check the
-    /// directory before re-running the DSE.
+    /// A store that persists profiled knowledge as binary knowledge
+    /// files under `dir` (created on first save). Knowledge lookups
+    /// check the directory before re-running the DSE.
     pub fn with_persist_dir(dir: impl Into<PathBuf>) -> Self {
         ArtifactStore {
             persist_dir: Some(dir.into()),
@@ -482,13 +483,13 @@ impl ArtifactStore {
     /// deterministic per-app machine seed.
     ///
     /// With a persistence directory, a miss first tries to reload the
-    /// knowledge JSON written by a previous run; a fresh profile is
+    /// knowledge file written by a previous run; a fresh profile is
     /// saved back to disk. Persistence is **best-effort** in both
     /// directions: unreadable or malformed files are treated as cache
     /// misses and save failures are ignored, so a broken cache
-    /// directory degrades to re-profiling rather than erroring (use
-    /// [`crate::save_knowledge`] directly when a persistence failure
-    /// must be detected).
+    /// directory degrades to re-profiling rather than erroring (ship
+    /// a [`KnowledgeSnapshot`] through [`ArtifactStore::save_snapshot`]
+    /// when a persistence failure must be detected).
     ///
     /// # Errors
     ///
@@ -501,7 +502,8 @@ impl ArtifactStore {
         let key = self.key(toolchain, app);
         single_flight(&self.knowledge, &self.counters.hits, key, || {
             let profile = app.profile(toolchain.dataset);
-            if let Some(knowledge) = self.load_persisted(toolchain, app, key.config) {
+            let path = self.persist_path(toolchain, app, key.config);
+            if let Some(knowledge) = path.as_deref().and_then(|p| read_knowledge(p).ok()) {
                 self.counters
                     .knowledge_loads
                     .fetch_add(1, Ordering::Relaxed);
@@ -515,8 +517,8 @@ impl ArtifactStore {
             let space =
                 dse::DesignSpace::socrates(predictions.flags.clone(), &toolchain.platform.topology);
             let machine = toolchain.platform.machine(toolchain.seed ^ fnv(app.name()));
-            // Each profiled configuration also runs functionally on the
-            // toolchain's execution engine: the kernel is lowered once
+            // Each profiled configuration also runs functionally as a
+            // compiled kernel: the kernel is lowered once
             // per distinct thread count (cached) and an unbound pragma
             // parameter surfaces here as a lowering error, not deep
             // inside a fleet run. The executor only touches the kernel
@@ -544,8 +546,9 @@ impl ArtifactStore {
             // Persistence is best-effort, symmetric with loading: an
             // unwritable cache directory must not discard a
             // successfully profiled result.
-            self.save_persisted(toolchain, app, key.config, &knowledge)
-                .ok();
+            if let Some(path) = &path {
+                write_knowledge(path, &knowledge).ok();
+            }
             Ok(ProfiledKnowledge {
                 app,
                 knowledge,
@@ -554,10 +557,8 @@ impl ArtifactStore {
         })
     }
 
-    /// The lowered, config-specialized kernel of `app` for a given
-    /// thread count, on the toolchain's [`crate::ExecutionEngine`]
-    /// (`toolchain.engine` — part of the config fingerprint, so the two
-    /// engines never share cache entries).
+    /// The lowered, config-specialized bytecode kernel of `app` for a
+    /// given thread count.
     ///
     /// The kernel is the first weaved clone (`kernel_<app>_v0`; all
     /// clones share one body and differ only in pragma flags, so one
@@ -589,7 +590,7 @@ impl ArtifactStore {
                 let weaved = self.weaved(toolchain, app)?;
                 let entry = crate::engine::kernel_entry(&weaved.multiversioned, app);
                 let kernel = crate::engine::compile_kernel_for(
-                    toolchain.engine,
+                    ExecutionEngine::Bytecode,
                     &weaved.weaved,
                     &entry,
                     app,
@@ -694,7 +695,7 @@ impl ArtifactStore {
     /// `(app, dataset, config)` under the persistence directory and
     /// returns the written path.
     ///
-    /// Unlike the best-effort knowledge JSON cache, snapshot
+    /// Unlike the best-effort knowledge-file cache, snapshot
     /// persistence is **strict** in both directions: a deployment that
     /// ships a snapshot must know when the artifact could not be
     /// written, and a corrupt or version-skewed file on disk is a typed
@@ -811,42 +812,11 @@ impl ArtifactStore {
     fn persist_path(&self, toolchain: &Toolchain, app: App, config: u64) -> Option<PathBuf> {
         self.persist_dir.as_ref().map(|dir| {
             dir.join(format!(
-                "{}-{:?}-{config:016x}.v{KNOWLEDGE_FORMAT_VERSION}.knowledge.json",
+                "{}-{:?}-{config:016x}.v{KNOWLEDGE_FORMAT_VERSION}.knowledge.bin",
                 app.name(),
                 toolchain.dataset
             ))
         })
-    }
-
-    /// Tries to reload previously profiled knowledge; any unreadable or
-    /// malformed file is treated as a miss (the DSE simply re-runs).
-    fn load_persisted(
-        &self,
-        toolchain: &Toolchain,
-        app: App,
-        config: u64,
-    ) -> Option<Knowledge<KnobConfig>> {
-        let path = self.persist_path(toolchain, app, config)?;
-        let json = std::fs::read_to_string(path).ok()?;
-        crate::knowledge_io::knowledge_from_json(&json).ok()
-    }
-
-    fn save_persisted(
-        &self,
-        toolchain: &Toolchain,
-        app: App,
-        config: u64,
-        knowledge: &Knowledge<KnobConfig>,
-    ) -> Result<(), SocratesError> {
-        let Some(path) = self.persist_path(toolchain, app, config) else {
-            return Ok(());
-        };
-        let dir = path.parent().expect("persist path has a parent");
-        std::fs::create_dir_all(dir).map_err(|e| SocratesError::io(dir, e))?;
-        let json = crate::knowledge_io::knowledge_to_json(knowledge)?;
-        // Atomic: stage + rename, so a crash mid-save can't leave a
-        // truncated artifact that poisons the next warm start.
-        crate::knowledge_io::write_atomic(&path, &json)
     }
 }
 
@@ -944,17 +914,9 @@ mod tests {
         assert_eq!(stats.kernel_hits, 1);
         assert!(store.kernel_compile_ns() > 0);
 
-        // A different engine is a different toolchain fingerprint —
-        // its artifacts never collide with the default engine's, and
-        // its reports are bit-identical.
-        let ast_tc = Toolchain {
-            engine: crate::ExecutionEngine::Ast,
-            ..quick_toolchain()
-        };
-        let d = store.compiled_kernel(&ast_tc, App::TwoMm, 1).unwrap();
-        assert!(d.code.is_none());
-        assert_eq!(d.report, a.report, "engines must be bit-identical");
-        assert_eq!(store.stats().kernel_builds, 3);
+        // The store always lowers to bytecode.
+        assert_eq!(a.engine, ExecutionEngine::Bytecode);
+        assert!(a.code.is_some() && c.code.is_some());
     }
 
     #[test]
@@ -1216,6 +1178,48 @@ mod tests {
         assert_eq!(cold.stats().knowledge_builds, 0);
         assert_eq!(cold.stats().knowledge_loads, 1);
         assert_eq!(fresh.knowledge, reloaded.knowledge);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_knowledge_files_are_cache_misses_that_get_rewritten() {
+        let tc = quick_toolchain();
+        let dir = std::env::temp_dir().join(format!(
+            "socrates-corrupt-knowledge-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let warm = ArtifactStore::with_persist_dir(&dir);
+        let fresh = warm.profiled_knowledge(&tc, App::Atax).unwrap();
+        let path = warm
+            .persist_path(&tc, App::Atax, warm.key(&tc, App::Atax).config)
+            .unwrap();
+        let good = std::fs::read(&path).unwrap();
+        assert!(path.to_string_lossy().ends_with(".v2.knowledge.bin"));
+
+        let truncated = good[..good.len() / 2].to_vec();
+        let mut flipped = good.clone();
+        // A flipped bit in the first point's opt-level index (after the
+        // magic and the u32 point count) puts it out of range.
+        flipped[crate::WIRE_MAGIC.len() + 4] ^= 0x80;
+        for corrupt in [truncated, flipped] {
+            std::fs::write(&path, &corrupt).unwrap();
+            // A cold store re-profiles instead of failing or panicking,
+            // and rewrites the file.
+            let cold = ArtifactStore::with_persist_dir(&dir);
+            let rebuilt = cold.profiled_knowledge(&tc, App::Atax).unwrap();
+            assert_eq!(cold.stats().knowledge_builds, 1);
+            assert_eq!(cold.stats().knowledge_loads, 0);
+            assert_eq!(rebuilt.knowledge, fresh.knowledge);
+            assert_eq!(std::fs::read(&path).unwrap(), good, "file rewritten");
+            // The next cold store loads the rewritten file.
+            let next = ArtifactStore::with_persist_dir(&dir);
+            let reloaded = next.profiled_knowledge(&tc, App::Atax).unwrap();
+            assert_eq!(next.stats().knowledge_loads, 1);
+            assert_eq!(next.stats().knowledge_builds, 0);
+            assert_eq!(reloaded.knowledge, fresh.knowledge);
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

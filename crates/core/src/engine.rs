@@ -19,9 +19,13 @@
 //! The two engines are bit-identical on every supported program —
 //! `crates/minivm/tests/polybench_differential.rs` pins all twelve
 //! Polybench apps and `tests/engine_equivalence.rs` property-tests
-//! random generated programs — so [`ExecutionEngine::Bytecode`] is the
-//! default everywhere and [`ExecutionEngine::Ast`] survives as the
-//! cross-check oracle.
+//! random generated programs. The runtime therefore always lowers to
+//! bytecode: the [`ArtifactStore`](crate::ArtifactStore), the fleet
+//! pools and the distributed fleet take no engine option.
+//! [`ExecutionEngine::Ast`] survives only as the differential oracle
+//! that callers of [`compile_kernel`] / [`compile_kernel_for`] (the
+//! equivalence and soundness suites, the compiled-sweep example and
+//! the benchmark's reference check) compare the bytecode against.
 //!
 //! [`compile_kernel`] is the single entry point: it lowers (or
 //! interprets) one weaved clone under one [`SpecConfig`](minivm::SpecConfig)
@@ -36,7 +40,6 @@ use minic::TranslationUnit;
 use minivm::{ExecutionReport, SpecConfig};
 use platform_sim::KnobConfig;
 use polybench::{App, Dataset, KernelArg};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -50,7 +53,7 @@ use std::time::Instant;
 pub const FUNCTIONAL_DIM_CAP: usize = 20;
 
 /// Which implementation executes the weaved kernels functionally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExecutionEngine {
     /// The reference AST interpreter (slow, obviously-correct oracle).
     Ast,

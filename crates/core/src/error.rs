@@ -129,13 +129,6 @@ pub enum SocratesError {
         /// Underlying I/O error.
         source: std::io::Error,
     },
-    /// Malformed or unserialisable artifact JSON.
-    Format {
-        /// What was being (de)serialised.
-        context: String,
-        /// Underlying serde diagnostic.
-        source: serde_json::Error,
-    },
     /// A knob configuration has no compiled clone version.
     UnknownVersion {
         /// Application whose version table was consulted.
@@ -176,7 +169,7 @@ impl SocratesError {
             SocratesError::Weave { .. } => StageId::Weave,
             SocratesError::Analyze { .. } => StageId::Analyze,
             SocratesError::Lower { .. } => StageId::Lower,
-            SocratesError::Io { .. } | SocratesError::Format { .. } => StageId::Persist,
+            SocratesError::Io { .. } => StageId::Persist,
             SocratesError::UnknownVersion { .. } => StageId::Dispatch,
             SocratesError::InvalidConfig { .. } => StageId::Runtime,
             SocratesError::Transport { .. } => StageId::Transport,
@@ -240,14 +233,6 @@ impl SocratesError {
         }
     }
 
-    /// Builds a persistence format error; `context` names the artifact.
-    pub fn format(context: impl Into<String>, source: serde_json::Error) -> Self {
-        SocratesError::Format {
-            context: context.into(),
-            source,
-        }
-    }
-
     /// Builds a dispatch error: `config` has no compiled version in
     /// `app`'s version table.
     pub fn unknown_version(app: App, config: impl fmt::Display) -> Self {
@@ -299,9 +284,6 @@ impl fmt::Display for SocratesError {
             SocratesError::Io { path, source } => {
                 write!(f, "{}: knowledge file I/O failed: {source}", path.display())
             }
-            SocratesError::Format { context, source } => {
-                write!(f, "{context}: knowledge file malformed: {source}")
-            }
             SocratesError::UnknownVersion { app, config } => {
                 write!(f, "{app}: configuration {config} has no compiled version")
             }
@@ -324,7 +306,6 @@ impl std::error::Error for SocratesError {
             SocratesError::Weave { source, .. } => Some(source),
             SocratesError::Lower { source, .. } => Some(source),
             SocratesError::Io { source, .. } => Some(source),
-            SocratesError::Format { source, .. } => Some(source),
             SocratesError::Analyze { .. }
             | SocratesError::UnknownVersion { .. }
             | SocratesError::InvalidConfig { .. }

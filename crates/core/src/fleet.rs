@@ -46,6 +46,13 @@
 //! failed instance is deactivated and counted in [`Fleet::stats`]
 //! while its power share is redistributed to the survivors.
 //!
+//! # Kernels and shipped knowledge
+//!
+//! Each pool lowers its weaved kernel to bytecode once per thread count,
+//! at the barrier and never inside an instance's step. What the fleet
+//! learned ships as a [`KnowledgeSnapshot`] ([`Fleet::knowledge_snapshot`])
+//! that the next deployment boots from ([`FleetConfig::warm_start`]).
+//!
 //! Rounds are **bit-identical at any rayon thread count**: instances
 //! only read shared state during the parallel phase, and all mutation
 //! (publish + schedule bookkeeping) happens sequentially in instance
@@ -54,7 +61,6 @@
 use crate::engine::{CompiledKernel, ExecutionEngine};
 use crate::error::SocratesError;
 use crate::events::{FleetEvent, InstanceId, Lockstep, Observers};
-use crate::knowledge_io::save_knowledge;
 use crate::runtime::{AdaptiveApplication, TraceSample};
 use crate::snapshot::{KnowledgeSnapshot, SnapshotFingerprint};
 use crate::toolchain::EnhancedApp;
@@ -67,7 +73,6 @@ use polybench::{App, Dataset};
 use rayon::prelude::*;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Priority of the constraint the power arbiter manages on each
@@ -134,13 +139,6 @@ pub struct FleetConfig {
     /// (`false`, the sequential reference the equivalence tests pin the
     /// parallel path against).
     pub parallel_step: bool,
-    /// Which functional engine compiles the pool kernels. Kernels are
-    /// lowered once per `(pool, thread count)` at the round barrier and
-    /// cached ([`FleetStats::kernel_builds`] /
-    /// [`FleetStats::kernel_cache_hits`]); instances never compile in
-    /// their step. The default is the bytecode backend; the AST
-    /// interpreter is the bit-identical reference.
-    pub engine: ExecutionEngine,
     /// Prune each pool's cooperative exploration schedule with the
     /// static analyzer before the sweep starts
     /// ([`crate::analysis_prune`]): configurations whose specialization
@@ -206,7 +204,6 @@ impl Default for FleetConfig {
             incremental_refresh: true,
             power_budget_w: None,
             parallel_step: true,
-            engine: ExecutionEngine::default(),
             analysis_prune: false,
             warm_start: None,
             distributed: None,
@@ -467,13 +464,6 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Sets [`FleetConfig::engine`].
-    #[must_use]
-    pub fn engine(mut self, engine: ExecutionEngine) -> Self {
-        self.config.engine = engine;
-        self
-    }
-
     /// Sets [`FleetConfig::analysis_prune`].
     #[must_use]
     pub fn analysis_prune(mut self, prune: bool) -> Self {
@@ -718,16 +708,16 @@ impl AsRef<PoolCore> for Pool {
 }
 
 impl Pool {
-    /// Compiles (or reuses) the config-specialized kernel for one
-    /// thread count. Called only from barrier/sequential code.
-    fn ensure_kernel(&mut self, engine: ExecutionEngine, threads: u32) {
+    /// Compiles (or reuses) the config-specialized bytecode kernel for
+    /// one thread count. Called only from barrier/sequential code.
+    fn ensure_kernel(&mut self, threads: u32) {
         use std::collections::hash_map::Entry;
         match self.kernels.entry(threads) {
             Entry::Occupied(_) => self.kernel_cache_hits += 1,
             Entry::Vacant(slot) => {
                 self.kernel_builds += 1;
                 let compiled = crate::engine::compile_kernel_for(
-                    engine,
+                    ExecutionEngine::Bytecode,
                     &self.weaved,
                     &self.entry,
                     self.core.app,
@@ -973,8 +963,8 @@ impl Fleet {
     /// The functional execution report of `app`'s compiled kernel
     /// specialized for `threads`, or `None` if that specialization was
     /// never built (or its lowering failed). Reports are bit-identical
-    /// across [`ExecutionEngine`]s and across thread counts — the
-    /// thread knob is configuration, not data.
+    /// across thread counts — the thread knob is configuration, not
+    /// data.
     pub fn kernel_report(&self, app: App, threads: u32) -> Option<ExecutionReport> {
         self.pools
             .iter()
@@ -1157,7 +1147,7 @@ impl Fleet {
     /// The current merged (online) knowledge for `app`, or `None` if no
     /// instance of it was ever added. If several pools share the
     /// application (different design knowledge), the first-created
-    /// pool is reported; use [`Fleet::persist_learned`] to export all.
+    /// pool is reported.
     pub fn learned_knowledge(&self, app: App) -> Option<Knowledge<KnobConfig>> {
         core_for(&self.pools, app).map(|p| p.shared.knowledge())
     }
@@ -1188,39 +1178,6 @@ impl Fleet {
         core_for(&self.pools, app).map(PoolCore::coverage)
     }
 
-    /// Persists every pool's learned knowledge as
-    /// `<dir>/<app>_learned.json` (loadable with
-    /// [`crate::load_knowledge`], so a future toolchain run can seed
-    /// from deployment experience); returns the written paths. When
-    /// several pools share an application name (instances enhanced by
-    /// different toolchain configurations), later pools get a
-    /// `_<pool index>` suffix instead of overwriting the first.
-    ///
-    /// # Errors
-    ///
-    /// Returns a persist-stage [`SocratesError`] on I/O failure.
-    pub fn persist_learned(&self, dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, SocratesError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(|e| SocratesError::io(dir, e))?;
-        let mut written: Vec<PathBuf> = Vec::with_capacity(self.pools.len());
-        for (i, pool) in self.pools.iter().enumerate() {
-            let app = pool.core.app;
-            let first_of_app = self
-                .pools
-                .iter()
-                .position(|p| p.core.app == app)
-                .expect("pool exists");
-            let path = if first_of_app == i {
-                dir.join(format!("{}_learned.json", app.name()))
-            } else {
-                dir.join(format!("{}_learned_{i}.json", app.name()))
-            };
-            save_knowledge(&pool.core.shared.knowledge(), &path)?;
-            written.push(path);
-        }
-        Ok(written)
-    }
-
     /// Finds (or creates) the shared pool for an enhanced app.
     fn pool_for(&mut self, enhanced: &EnhancedApp, rank: &Rank) -> usize {
         if let Some(i) = self.pools.iter().position(|p| p.core.serves(enhanced)) {
@@ -1238,11 +1195,10 @@ impl Fleet {
             kernel_builds: 0,
             kernel_cache_hits: 0,
         });
-        let engine = self.config.engine;
         let pool = self.pools.len() - 1;
         // Warm the single-thread specialization at pool creation: the
         // common boot configuration runs compiled from round one.
-        self.pools[pool].ensure_kernel(engine, 1);
+        self.pools[pool].ensure_kernel(1);
         pool
     }
 
@@ -1508,10 +1464,9 @@ impl Lockstep for Fleet {
         // an instance's step — so a fleet of N instances running the
         // same configuration lowers it exactly once, even with
         // knowledge sharing off.
-        let engine = self.config.engine;
         for (pool, tns) in self.pools.iter_mut().zip(&kernel_tns) {
             for &tn in tns {
-                pool.ensure_kernel(engine, tn);
+                pool.ensure_kernel(tn);
             }
         }
         if any_failed {
@@ -1699,7 +1654,6 @@ mod tests {
             .power_budget_w(Some(400.0))
             .unwrap()
             .parallel_step(false)
-            .engine(ExecutionEngine::Bytecode)
             .analysis_prune(true)
             .schedule(Schedule::EventDriven)
             .build()
@@ -1712,7 +1666,6 @@ mod tests {
         assert!(!config.incremental_refresh);
         assert_eq!(config.power_budget_w, Some(400.0));
         assert!(!config.parallel_step);
-        assert_eq!(config.engine, ExecutionEngine::Bytecode);
         assert!(config.analysis_prune);
         assert_eq!(config.schedule, Schedule::EventDriven);
 
@@ -2133,27 +2086,6 @@ mod tests {
     }
 
     #[test]
-    fn ast_and_bytecode_fleets_agree_on_kernel_reports() {
-        let enhanced = quick_enhanced(App::Atax);
-        let run = |engine: ExecutionEngine| {
-            let mut fleet = fleet_with(FleetConfig {
-                engine,
-                ..FleetConfig::default()
-            });
-            fleet.spawn(&enhanced, &rank(), 3, 2);
-            fleet.run_until(1.0);
-            (fleet.kernel_report(App::Atax, 1).unwrap(), fleet.trace(0))
-        };
-        let (ast_report, ast_trace) = run(ExecutionEngine::Ast);
-        let (byte_report, byte_trace) = run(ExecutionEngine::Bytecode);
-        assert_eq!(ast_report, byte_report, "engines must be bit-identical");
-        assert_eq!(
-            ast_trace, byte_trace,
-            "the engine never perturbs the MAPE-K loop"
-        );
-    }
-
-    #[test]
     fn warm_started_pools_adopt_the_shipped_snapshot() {
         let enhanced = quick_enhanced(App::TwoMm);
         // A donor fleet learns for a while, then cuts a snapshot.
@@ -2273,19 +2205,5 @@ mod tests {
         .err()
         .expect("empty warm-start snapshot must be rejected");
         assert!(err.to_string().contains("warm_start"), "{err}");
-    }
-
-    #[test]
-    fn persist_learned_round_trips_through_knowledge_io() {
-        let enhanced = quick_enhanced(App::TwoMm);
-        let mut fleet = fleet_with(FleetConfig::default());
-        fleet.spawn(&enhanced, &rank(), 3, 2);
-        fleet.run_until(1.0);
-        let dir = std::env::temp_dir().join(format!("socrates-fleet-{}", std::process::id()));
-        let written = fleet.persist_learned(&dir).unwrap();
-        assert_eq!(written.len(), 1);
-        let loaded = crate::knowledge_io::load_knowledge(&written[0]).unwrap();
-        assert_eq!(loaded, fleet.learned_knowledge(App::TwoMm).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

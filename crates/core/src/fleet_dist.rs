@@ -47,7 +47,7 @@
 //! transport does not model yet) and no power arbitration
 //! (`power_budget_w` must be `None` for the same reason).
 
-use crate::engine::CompiledKernel;
+use crate::engine::{CompiledKernel, ExecutionEngine};
 use crate::error::SocratesError;
 use crate::events::{FleetEvent, Lockstep, Observers};
 use crate::fleet::{dense_id, FleetConfig};
@@ -265,7 +265,7 @@ impl DistributedFleet {
             .collect();
         let entry = crate::engine::kernel_entry(&enhanced.multiversioned, enhanced.app);
         let kernel = Arc::new(crate::engine::compile_kernel_for(
-            config.engine,
+            ExecutionEngine::Bytecode,
             &enhanced.weaved,
             &entry,
             enhanced.app,
@@ -324,7 +324,7 @@ impl DistributedFleet {
     }
 
     /// The functional execution report of the fleet's shared compiled
-    /// kernel (bit-identical across [`crate::ExecutionEngine`]s).
+    /// kernel.
     pub fn kernel_report(&self) -> ExecutionReport {
         self.kernel.report
     }
@@ -1371,27 +1371,6 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, FleetEvent::Retired { id, .. } if *id == dense_id(0))));
-    }
-
-    #[test]
-    fn construction_compiles_the_shared_kernel_on_both_engines() {
-        let enhanced = quick_enhanced();
-        let report = |engine: crate::ExecutionEngine| {
-            DistributedFleet::new(
-                FleetConfig {
-                    engine,
-                    ..dist_config(DistributedConfig::default())
-                },
-                &enhanced,
-            )
-            .unwrap()
-            .kernel_report()
-        };
-        assert_eq!(
-            report(crate::ExecutionEngine::Ast),
-            report(crate::ExecutionEngine::Bytecode),
-            "the distributed fleet's engines must be bit-identical"
-        );
     }
 
     #[test]

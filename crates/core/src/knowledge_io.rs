@@ -1,14 +1,16 @@
-//! Knowledge persistence — the analogue of mARGOt's operating-point list
-//! files: the DSE writes the application knowledge once at design time;
-//! the deployed adaptive binary loads it at `margot_init()` time.
+//! Knowledge persistence and the binary codec — the analogue of
+//! mARGOt's operating-point list files: the DSE writes the application
+//! knowledge once at design time; the deployed adaptive binary loads
+//! it at `margot_init()` time.
 //!
-//! The [`crate::ArtifactStore`] builds on these functions to persist
-//! [`crate::ProfiledKnowledge`] artifacts transparently (see
-//! [`crate::ArtifactStore::with_persist_dir`]); they remain available
-//! for direct use.
+//! One length-prefixed binary codec serves every artifact: the
+//! runtime wire messages of the distributed exchange, the knowledge
+//! files the [`crate::ArtifactStore`] caches profiled knowledge in
+//! (see [`crate::ArtifactStore::with_persist_dir`]) and the shippable
+//! [`crate::KnowledgeSnapshot`]s. Files are written atomically.
 //!
-//! All failures are persist-stage [`SocratesError`]s carrying the file
-//! path or artifact context.
+//! I/O failures are persist-stage [`SocratesError`]s carrying the file
+//! path; malformed bytes are transport-stage errors.
 
 use crate::error::SocratesError;
 use crate::transport::{Observation, WireMessage};
@@ -57,55 +59,31 @@ pub(crate) fn write_atomic_bytes(path: &Path, contents: &[u8]) -> Result<(), Soc
     })
 }
 
-/// [`write_atomic_bytes`] for UTF-8 contents.
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> Result<(), SocratesError> {
-    write_atomic_bytes(path, contents.as_bytes())
-}
-
-/// Serialises a knowledge base to a JSON string.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on serialisation failure
-/// (never happens for well-formed knowledge).
-pub fn knowledge_to_json(knowledge: &Knowledge<KnobConfig>) -> Result<String, SocratesError> {
-    serde_json::to_string_pretty(knowledge).map_err(|e| SocratesError::format("knowledge", e))
-}
-
-/// Parses a knowledge base from a JSON string.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on malformed input.
-pub fn knowledge_from_json(json: &str) -> Result<Knowledge<KnobConfig>, SocratesError> {
-    serde_json::from_str(json).map_err(|e| SocratesError::format("knowledge", e))
-}
-
-/// Writes a knowledge base to a file, atomically: the JSON is staged
-/// in a temporary file in the same directory and renamed into place,
-/// so a crash mid-save cannot leave a truncated knowledge file.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on I/O or serialisation
-/// failure.
-pub fn save_knowledge(
+/// Writes a knowledge base to `path` as one binary frame
+/// ([`WIRE_MAGIC`] ++ Knowledge), atomically, creating the parent
+/// directory if needed.
+pub(crate) fn write_knowledge(
+    path: &Path,
     knowledge: &Knowledge<KnobConfig>,
-    path: impl AsRef<Path>,
 ) -> Result<(), SocratesError> {
-    write_atomic(path.as_ref(), &knowledge_to_json(knowledge)?)
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(|e| SocratesError::io(dir, e))?;
+    }
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&WIRE_MAGIC);
+    put_knowledge(&mut out, knowledge);
+    write_atomic_bytes(path, &out)
 }
 
-/// Reads a knowledge base from a file.
-///
-/// # Errors
-///
-/// Returns a persist-stage [`SocratesError`] on I/O failure or
-/// malformed content.
-pub fn load_knowledge(path: impl AsRef<Path>) -> Result<Knowledge<KnobConfig>, SocratesError> {
-    let path = path.as_ref();
-    let json = std::fs::read_to_string(path).map_err(|e| SocratesError::io(path, e))?;
-    knowledge_from_json(&json)
+/// Reads a knowledge file written by [`write_knowledge`]. Decoding is
+/// strict: bad magic, truncation and trailing bytes are errors.
+pub(crate) fn read_knowledge(path: &Path) -> Result<Knowledge<KnobConfig>, SocratesError> {
+    let bytes = std::fs::read(path).map_err(|e| SocratesError::io(path, e))?;
+    let mut r = ByteReader::new(&bytes);
+    r.magic()?;
+    let knowledge = r.knowledge()?;
+    r.finish()?;
+    Ok(knowledge)
 }
 
 // ---------------------------------------------------------------------------
@@ -115,8 +93,8 @@ pub fn load_knowledge(path: impl AsRef<Path>) -> Result<Knowledge<KnobConfig>, S
 // The runtime wire format of the distributed knowledge exchange:
 // everything that travels through [`crate::transport::SimNet`] is
 // encoded with this length-prefixed binary codec, pinned by the binary
-// golden files under `tests/golden/`. JSON is only the knowledge
-// *persistence* format above.
+// golden files under `tests/golden/`. Knowledge files and snapshots
+// reuse the same primitives.
 //
 // Format, all integers little-endian:
 //
@@ -124,7 +102,7 @@ pub fn load_knowledge(path: impl AsRef<Path>) -> Result<Knowledge<KnobConfig>, S
 // * u8/u32/u64      = fixed-width LE
 // * usize           = u64 LE
 // * f64             = raw IEEE-754 bits LE (`to_le_bytes`); NaN
-//                     round-trips **bit-exactly**, unlike JSON
+//                     round-trips **bit-exactly**, unlike decimal text
 // * bool            = u8 (0 / 1)
 // * str             = u32 byte length ++ UTF-8 bytes
 // * seq<T>          = u32 element count ++ elements
@@ -629,39 +607,23 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_knowledge() {
-        let k = sample_knowledge();
-        let json = knowledge_to_json(&k).unwrap();
-        let back = knowledge_from_json(&json).unwrap();
-        assert_eq!(k, back);
-    }
-
-    #[test]
     fn file_roundtrip() {
         let k = sample_knowledge();
         let dir = std::env::temp_dir().join("socrates-knowledge-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kb.json");
-        save_knowledge(&k, &path).unwrap();
-        let back = load_knowledge(&path).unwrap();
+        let path = dir.join("kb.bin");
+        write_knowledge(&path, &k).unwrap();
+        let back = read_knowledge(&path).unwrap();
         assert_eq!(k, back);
         std::fs::remove_file(path).ok();
     }
 
     #[test]
-    fn malformed_json_is_a_format_error() {
-        let err = knowledge_from_json("{not json").unwrap_err();
-        assert!(matches!(err, SocratesError::Format { .. }));
-        assert_eq!(err.stage(), StageId::Persist);
-        assert!(err.to_string().contains("malformed"));
-    }
-
-    #[test]
     fn missing_file_is_an_io_error_with_the_path() {
-        let err = load_knowledge("/nonexistent/kb.json").unwrap_err();
+        let err = read_knowledge(Path::new("/nonexistent/kb.bin")).unwrap_err();
         assert!(matches!(err, SocratesError::Io { .. }));
         assert_eq!(err.stage(), StageId::Persist);
-        assert!(err.to_string().contains("/nonexistent/kb.json"));
+        assert!(err.to_string().contains("/nonexistent/kb.bin"));
     }
 
     #[test]
@@ -669,14 +631,14 @@ mod tests {
         let k = sample_knowledge();
         let dir = std::env::temp_dir().join("socrates-atomic-save-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kb.json");
+        let path = dir.join("kb.bin");
         std::fs::write(&path, "old contents").unwrap();
-        save_knowledge(&k, &path).unwrap();
-        assert_eq!(load_knowledge(&path).unwrap(), k);
+        write_knowledge(&path, &k).unwrap();
+        assert_eq!(read_knowledge(&path).unwrap(), k);
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
-            .filter(|n| n != "kb.json")
+            .filter(|n| n != "kb.bin")
             .collect();
         assert!(
             leftovers.is_empty(),
@@ -695,7 +657,7 @@ mod tests {
         let dir = std::env::temp_dir().join("socrates-concurrent-atomic-test");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kb.json");
+        let path = dir.join("kb.bin");
         let writers = 8;
         let rounds = 25;
         let payload = |w: usize| format!("writer-{w}-").repeat(200);
@@ -705,7 +667,8 @@ mod tests {
                 let contents = payload(w);
                 scope.spawn(move || {
                     for _ in 0..rounds {
-                        write_atomic(&path, &contents).expect("concurrent atomic write");
+                        write_atomic_bytes(&path, contents.as_bytes())
+                            .expect("concurrent atomic write");
                     }
                 });
             }
@@ -718,7 +681,7 @@ mod tests {
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
-            .filter(|n| n != "kb.json")
+            .filter(|n| n != "kb.bin")
             .collect();
         assert!(
             leftovers.is_empty(),

@@ -106,8 +106,7 @@ pub use fleet::{
 pub use fleet_dist::{DistStats, DistributedFleet};
 pub use fleet_events::{Arrival, EventFleet, EventFleetStats, WorkloadCurve, WorkloadTrace};
 pub use knowledge_io::{
-    delta_from_bytes, delta_to_bytes, knowledge_from_json, knowledge_to_json, load_knowledge,
-    save_knowledge, wire_from_bytes, wire_to_bytes, WIRE_MAGIC,
+    delta_from_bytes, delta_to_bytes, wire_from_bytes, wire_to_bytes, WIRE_MAGIC,
 };
 pub use minivm::ExecutionReport;
 pub use pipeline::{socrates_pipeline, stages, Pipeline, Stage, StageContext};

@@ -1428,4 +1428,63 @@ mod tests {
         let expect = f64::from(threads * per_thread - 1) / 2.0;
         assert!((mean - expect).abs() < 1e-9, "{mean} vs {expect}");
     }
+
+    #[test]
+    fn mixed_concurrent_publish_paths_keep_epochs_and_drains_consistent() {
+        // Eight threads race `publish`, `publish_batch` and
+        // `publish_into` on a 4-shard base. Every epoch bump happens
+        // under its shard lock, so once the threads join the shard
+        // epochs must add up to the global one, and the dirty sets must
+        // bring a design-time cache exactly to the live knowledge.
+        let points: u32 = 64;
+        let design: Knowledge<u32> = (0..points)
+            .map(|cfg| {
+                OperatingPoint::new(
+                    cfg,
+                    MetricValues::new()
+                        .with(Metric::exec_time(), 1.0 + f64::from(cfg))
+                        .with(Metric::power(), 50.0),
+                )
+            })
+            .collect();
+        let shared = SharedKnowledge::new(design.clone(), 4).with_shards(4);
+        let observation =
+            |t: u32, i: u32| MetricValues::new().with(Metric::power(), f64::from(t * 1000 + i));
+        std::thread::scope(|scope| {
+            for t in 0..8u32 {
+                let shared = &shared;
+                let design = &design;
+                scope.spawn(move || {
+                    let mut local = design.clone();
+                    for i in 0..60u32 {
+                        let cfg = (t * 7 + i * 3) % points;
+                        match (t + i) % 3 {
+                            0 => {
+                                shared.publish(&cfg, &observation(t, i));
+                            }
+                            1 => {
+                                let next = (cfg + 1) % points;
+                                let batch =
+                                    [(cfg, observation(t, i)), (next, observation(t, i + 1))];
+                                shared.publish_batch(batch.iter().map(|(c, m)| (c, m)));
+                            }
+                            _ => {
+                                shared.publish_into(&cfg, &observation(t, i), &mut local);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let shard_sum: u64 = (0..shared.shard_count())
+            .map(|s| shared.shard_epoch(s))
+            .sum();
+        assert!(shared.epoch() > 0);
+        assert_eq!(shared.epoch(), shard_sum);
+        let mut cache = design;
+        let (epoch, patched) = shared.drain_changes_into(&mut cache);
+        assert_eq!(epoch, shared.epoch());
+        assert!(patched > 0);
+        assert_eq!(cache, shared.knowledge());
+    }
 }

@@ -11,7 +11,9 @@
 
 use margot::Rank;
 use polybench::{App, Dataset};
-use socrates::{Fleet, FleetConfig, FleetEvent, FleetRuntime, Toolchain};
+use socrates::{
+    Fleet, FleetConfig, FleetEvent, FleetRuntime, KnowledgeSnapshot, SnapshotFingerprint, Toolchain,
+};
 
 fn main() {
     let toolchain = Toolchain {
@@ -101,10 +103,21 @@ fn main() {
         publishes.load(std::sync::atomic::Ordering::Relaxed)
     );
 
-    // The fleet's learned knowledge outlives the deployment: persist it
-    // for the next toolchain run to seed from.
+    // The fleet's learned knowledge outlives the deployment: ship it as
+    // a snapshot the next deployment warm-starts from.
+    let snapshot = fleet
+        .knowledge_snapshot(App::TwoMm, SnapshotFingerprint::of(&toolchain, App::TwoMm))
+        .expect("pool");
     let dir = std::env::temp_dir().join("socrates-fleet-knowledge");
-    let written = fleet.persist_learned(&dir).expect("persist");
+    std::fs::create_dir_all(&dir).expect("snapshot directory");
+    let path = dir.join("2mm.snapshot.bin");
+    snapshot.save(&path).expect("persist snapshot");
+    assert_eq!(KnowledgeSnapshot::load(&path).expect("reload"), snapshot);
     println!();
-    println!("learned knowledge persisted to {}", written[0].display());
+    println!(
+        "learned knowledge ({} points, epoch {}) persisted to {}",
+        snapshot.knowledge.len(),
+        snapshot.epoch,
+        path.display()
+    );
 }

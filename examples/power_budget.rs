@@ -17,7 +17,8 @@ fn main() {
         ..Toolchain::default()
     };
     // Persisted artifact store: the profiled knowledge round-trips
-    // through JSON on disk, so re-running this example skips the DSE.
+    // through a binary knowledge file on disk, so re-running this
+    // example skips the DSE.
     // The cache key covers the toolchain config only — delete the
     // directory to force a re-profile after changing the code itself.
     let user = std::env::var("USER").unwrap_or_else(|_| "anon".to_string());

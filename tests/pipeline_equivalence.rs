@@ -127,7 +127,7 @@ fn cold_store_with_persistence_matches_in_memory_cache_hit() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Warm run: profiles the DSE and persists the knowledge as JSON.
+    // Warm run: profiles the DSE and persists the knowledge file.
     let warm = ArtifactStore::with_persist_dir(&dir);
     let fresh = toolchain
         .enhance_with_store(App::Doitgen, &warm)

@@ -6,10 +6,8 @@
 //! which covers NaN-carrying metric values that structural `==`
 //! cannot compare, and structurally where `==` is meaningful.
 //!
-//! The companion compatibility property — decoding the committed JSON
-//! goldens through the compat layer yields exactly the messages the
-//! binary goldens decode to — is pinned in `tests/golden_wire.rs`
-//! against the checked-in files.
+//! The companion byte-stability property is pinned in
+//! `tests/golden_wire.rs` against the checked-in binary goldens.
 
 use margot::{Knowledge, KnowledgeDelta, Metric, MetricValues, OperatingPoint};
 use platform_sim::{BindingPolicy, CompilerOptions, KnobConfig, OptLevel};
